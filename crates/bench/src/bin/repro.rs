@@ -74,6 +74,33 @@
 use recross_bench::experiments as exp;
 use recross_bench::workloads::{dram, standard_trace, Scale};
 
+/// A command-line experiment name and the runner that prints it.
+type Experiment = (&'static str, fn(Scale));
+
+/// Every experiment `all` runs, by command-line name, in run order.
+/// `serve` and `run` take their own flags and are not part of `all`.
+const EXPERIMENTS: &[Experiment] = &[
+    ("table2", table2),
+    ("fig3", fig3),
+    ("fig4", fig4),
+    ("fig5", fig5),
+    ("fig6", fig6),
+    ("headline", headline),
+    ("fig9", fig9),
+    ("fig10", fig10),
+    ("fig11", fig11),
+    ("fig12", fig12),
+    ("fig13", fig13),
+    ("fig14", fig14),
+    ("fig15", fig15),
+    ("table3", table3),
+    ("overheads", overheads),
+    ("inst", inst),
+    ("channels", channels),
+    ("ddr4", ddr4),
+    ("training", training),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -85,109 +112,13 @@ fn main() {
         .collect();
     let what = if what.is_empty() { vec!["all"] } else { what };
     let all = what.contains(&"all");
-    let want = |k: &str| all || what.contains(&k);
     let mut ran = false;
 
-    if want("table2") {
-        table2();
-        ran = true;
-    }
-    if want("fig3") {
-        fig3(scale);
-        ran = true;
-    }
-    if want("fig4") {
-        fig4(scale);
-        ran = true;
-    }
-    if want("fig5") {
-        fig5(scale);
-        ran = true;
-    }
-    if want("fig6") {
-        fig6();
-        ran = true;
-    }
-    if want("headline") {
-        headline(scale);
-        ran = true;
-    }
-    if want("fig9") {
-        sweep(
-            "Figure 9: speedup over CPU vs embedding vector length",
-            "vlen",
-            exp::fig9_vector_length(scale)
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        );
-        ran = true;
-    }
-    if want("fig10") {
-        sweep(
-            "Figure 10: speedup over CPU vs batch size (vlen 64)",
-            "batch",
-            exp::fig10_batch_size(scale)
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        );
-        ran = true;
-    }
-    if want("fig11") {
-        sweep(
-            "Figure 11: speedup over CPU vs rank count (vlen 64)",
-            "ranks",
-            exp::fig11_rank_count(scale)
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        );
-        ran = true;
-    }
-    if want("fig12") {
-        fig12(scale);
-        ran = true;
-    }
-    if want("fig13") {
-        fig13(scale);
-        ran = true;
-    }
-    if want("fig14") {
-        fig14(scale);
-        ran = true;
-    }
-    if want("fig15") {
-        fig15(scale);
-        ran = true;
-    }
-    if want("table3") {
-        table3();
-        ran = true;
-    }
-    if want("overheads") {
-        overheads(scale);
-        ran = true;
-    }
-    if want("inst") {
-        inst(scale);
-        ran = true;
-    }
-    if want("channels") {
-        channels(scale);
-        ran = true;
-    }
-    if want("ddr4") {
-        ddr4(scale);
-        ran = true;
-    }
-    if want("training") {
-        training(scale);
-        ran = true;
-    }
-    if want("serving") {
-        serving(scale);
-        ran = true;
+    for &(name, experiment) in EXPERIMENTS {
+        if all || what.contains(&name) {
+            experiment(scale);
+            ran = true;
+        }
     }
     if what.contains(&"serve") {
         serve(scale, &args);
@@ -198,11 +129,15 @@ fn main() {
         ran = true;
     }
     if !ran {
+        let names: Vec<&str> = EXPERIMENTS
+            .iter()
+            .map(|&(name, _)| name)
+            .chain(["serve", "run", "all"])
+            .collect();
         eprintln!(
-            "unknown experiment {:?}; expected fig3..fig15, table2, table3, \
-             overheads, headline, inst, channels, ddr4, training, serving, \
-             serve, run, all",
-            what
+            "unknown experiment {:?}; expected one of {}",
+            what,
+            names.join(", ")
         );
         std::process::exit(2);
     }
@@ -212,7 +147,7 @@ fn banner(s: &str) {
     println!("\n=== {s} ===");
 }
 
-fn table2() {
+fn table2(_: Scale) {
     banner("Table 2: system configuration");
     let d = dram();
     let t = d.topology;
@@ -292,7 +227,7 @@ fn fig5(scale: Scale) {
     }
 }
 
-fn fig6() {
+fn fig6(_: Scale) {
     banner("Figure 6: command timeline, 4 reads to 2 banks");
     for (mode, lines) in exp::fig6_timeline() {
         println!("--- {mode}");
@@ -327,7 +262,11 @@ fn headline(scale: Scale) {
     }
 }
 
-fn sweep(title: &str, xname: &str, rows: Vec<(String, Vec<(String, f64)>)>) {
+fn sweep<X: std::fmt::Display>(
+    title: &str,
+    xname: &str,
+    rows: Vec<(X, Vec<(String, f64)>)>,
+) {
     banner(title);
     if let Some((_, first)) = rows.first() {
         print!("{xname:>6}");
@@ -343,6 +282,21 @@ fn sweep(title: &str, xname: &str, rows: Vec<(String, Vec<(String, f64)>)>) {
         }
         println!();
     }
+}
+
+fn fig9(scale: Scale) {
+    let rows = exp::fig9_vector_length(scale);
+    sweep("Figure 9: speedup over CPU vs embedding vector length", "vlen", rows);
+}
+
+fn fig10(scale: Scale) {
+    let rows = exp::fig10_batch_size(scale);
+    sweep("Figure 10: speedup over CPU vs batch size (vlen 64)", "batch", rows);
+}
+
+fn fig11(scale: Scale) {
+    let rows = exp::fig11_rank_count(scale);
+    sweep("Figure 11: speedup over CPU vs rank count (vlen 64)", "ranks", rows);
 }
 
 fn fig12(scale: Scale) {
@@ -384,7 +338,7 @@ fn fig15(scale: Scale) {
     }
 }
 
-fn table3() {
+fn table3(_: Scale) {
     banner("Table 3: extra area overhead breakdown");
     println!(
         "{:<12} {:>22} {:>22}",
@@ -438,32 +392,22 @@ fn training(scale: Scale) {
     }
 }
 
-fn serving(scale: Scale) {
-    banner("Beyond-paper: open-loop serving latency (batch arrivals at fixed interval)");
-    println!(
-        "{:<10} {:>16} {:>12} {:>12}",
-        "arch", "interval (cyc)", "p50 latency", "p99 latency"
-    );
-    for (arch, interval, p50, p99) in exp::serving_latency(scale) {
-        println!("{arch:<10} {interval:>16} {p50:>12} {p99:>12}");
-    }
+/// Prints `msg` to stderr and exits with status 2 (bad flag or IO).
+fn fail(msg: impl std::fmt::Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
 }
 
 fn serve(scale: Scale, args: &[String]) {
     use recross_bench::cli;
     use recross_serve::QueuePolicy;
 
-    let fail = |e: String| -> ! {
-        eprintln!("{e}");
-        std::process::exit(2);
-    };
     let bursty = args.iter().any(|a| a == "--bursty");
     let tenants = cli::parse_tenants(args).unwrap_or_else(|e| fail(e));
     if bursty && tenants.is_some() {
         fail(
             "--bursty conflicts with --tenants: per-tenant arrival shapes come \
-             from the tenant spec (name:share:poisson|bursty|mmpp:deadline:priority)"
-                .to_string(),
+             from the tenant spec (name:share:poisson|bursty|mmpp:deadline:priority)",
         );
     }
     // Tenant mode defaults to EDF (deadlines are what it is for); the
@@ -489,8 +433,7 @@ fn serve(scale: Scale, args: &[String]) {
     {
         fail(
             "--trace-out buffers the whole timeline in memory; --trace-stream \
-             writes it incrementally — pick one"
-                .to_string(),
+             writes it incrementally — pick one",
         );
     }
     let traced = cli::value_of(args, "--trace-out").is_some()
@@ -500,8 +443,7 @@ fn serve(scale: Scale, args: &[String]) {
         fail(
             "--trace-out/--obs-summary trace a single serving point; \
              they conflict with --slo-search (use --trace-stream/--agg-out \
-             to trace the found max-QPS point)"
-                .to_string(),
+             to trace the found max-QPS point)",
         );
     }
     let json = if traced && !slo {
@@ -509,9 +451,8 @@ fn serve(scale: Scale, args: &[String]) {
     } else {
         let (json, rates) = match (&tenants, slo) {
             (Some(mix), true) => serve_tenant_slo(scale, mix, policy, seed),
-            (Some(mix), false) => (serve_tenant_sweep(scale, mix, policy, seed), Vec::new()),
             (None, true) => serve_slo_search(scale, bursty, policy, seed, slo_p99_us),
-            (None, false) => (serve_qps_sweep(scale, bursty, policy, seed), Vec::new()),
+            (mix, false) => (serve_sweep(scale, mix.as_ref(), bursty, policy, seed), Vec::new()),
         };
         if slo && streaming {
             serve_slo_stream_rerun(scale, tenants.as_ref(), bursty, policy, seed, &rates, args);
@@ -521,8 +462,7 @@ fn serve(scale: Scale, args: &[String]) {
     match out {
         Some(path) => {
             if let Err(e) = std::fs::write(path, format!("{json}\n")) {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(2);
+                fail(format!("cannot write {path}: {e}"));
             }
             println!("wrote {path}");
         }
@@ -534,8 +474,7 @@ fn serve(scale: Scale, args: &[String]) {
 /// landed where.
 fn write_artifact(path: &str, contents: &str, what: &str) {
     if let Err(e) = std::fs::write(path, contents) {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(2);
+        fail(format!("cannot write {path}: {e}"));
     }
     println!("wrote {what} {path}");
 }
@@ -550,15 +489,33 @@ fn emit_obs_summary(args: &[String], json: &str) {
     }
 }
 
-/// Opens the `--trace-stream` target for incremental writing (exit 2 on
-/// failure).
-fn open_stream(path: &str) -> Box<dyn std::io::Write> {
-    match std::fs::File::create(path) {
-        Ok(f) => Box::new(std::io::BufWriter::new(f)),
-        Err(e) => {
-            eprintln!("cannot create {path}: {e}");
-            std::process::exit(2);
-        }
+/// The [`TraceOptions`](recross_bench::serving::TraceOptions) the
+/// `--trace-stream`/`--agg-out` flags ask for. A streamed run drops the
+/// in-memory buffer: that is the point.
+fn trace_options(args: &[String], buffered: bool) -> recross_bench::serving::TraceOptions {
+    use recross_bench::cli;
+    let stream = cli::value_of(args, "--trace-stream").map(|path| {
+        let file = std::fs::File::create(path)
+            .unwrap_or_else(|e| fail(format!("cannot create {path}: {e}")));
+        Box::new(std::io::BufWriter::new(file)) as Box<dyn std::io::Write>
+    });
+    recross_bench::serving::TraceOptions {
+        buffered: buffered && stream.is_none(),
+        stream,
+        agg: cli::value_of(args, "--agg-out").is_some(),
+    }
+}
+
+/// Reports the streamed timeline and writes the online aggregates, per
+/// the `--trace-stream`/`--agg-out` flags.
+fn write_stream_artifacts(args: &[String], agg: Option<&recross_obs::agg::Aggregates>) {
+    use recross_bench::cli;
+    if let Some(path) = cli::value_of(args, "--trace-stream") {
+        println!("wrote streamed Perfetto timeline {path} (open in https://ui.perfetto.dev)");
+    }
+    if let Some(path) = cli::value_of(args, "--agg-out") {
+        let agg = agg.expect("agg enabled by --agg-out");
+        write_artifact(path, &format!("{}\n", agg.to_json()), "online aggregates");
     }
 }
 
@@ -580,6 +537,28 @@ fn recorder_stats_line(heap: usize, sinks: &[recross_obs::SinkStats]) -> String 
     )
 }
 
+/// Serves one point of `arch` at `load` × capacity through the tracer
+/// the flags select.
+#[allow(clippy::too_many_arguments)]
+fn run_traced_point(
+    scale: Scale,
+    arch: &str,
+    mix: Option<&recross_serve::TenantMix>,
+    load: f64,
+    bursty: bool,
+    policy: recross_serve::QueuePolicy,
+    seed: u64,
+    args: &[String],
+    buffered: bool,
+) -> recross_bench::serving::TracedPoint {
+    let dram_tracks = !args.iter().any(|a| a == "--timeline-only");
+    let opts = trace_options(args, buffered);
+    recross_bench::serving::traced_point_with(
+        scale, arch, mix, load, bursty, policy, seed, dram_tracks, opts,
+    )
+    .unwrap_or_else(|e| fail(format!("cannot write streamed trace: {e}")))
+}
+
 fn serve_trace_point(
     scale: Scale,
     mix: Option<&recross_serve::TenantMix>,
@@ -590,27 +569,11 @@ fn serve_trace_point(
 ) -> String {
     use recross_bench::{cli, serving};
 
-    let fail = |e: String| -> ! {
-        eprintln!("{e}");
-        std::process::exit(2);
-    };
     let arch = cli::parse_arch(args).unwrap_or_else(|e| fail(e));
     let load = cli::parse_load(args).unwrap_or_else(|e| fail(e));
-    let dram_tracks = !args.iter().any(|a| a == "--timeline-only");
-    let stream = cli::value_of(args, "--trace-stream");
-    let agg_out = cli::value_of(args, "--agg-out");
 
     banner("recross-obs: traced serving point (request lanes down to DRAM commands)");
-    let opts = serving::TraceOptions {
-        stream: stream.map(open_stream),
-        agg: agg_out.is_some(),
-        // Streaming runs drop the in-memory buffer: that is the point.
-        buffered: stream.is_none(),
-    };
-    let p = serving::traced_point_with(
-        scale, arch, mix, load, bursty, policy, seed, dram_tracks, opts,
-    )
-    .unwrap_or_else(|e| fail(format!("cannot write streamed trace: {e}")));
+    let p = run_traced_point(scale, arch, mix, load, bursty, policy, seed, args, true);
     println!(
         "{}: {:.0} offered qps ({:.2}x of {:.0} capacity qps), {} requests: \
          {} completed, {} late, {} queue-shed, {} deadline-shed",
@@ -648,13 +611,7 @@ fn serve_trace_point(
         let perfetto = p.perfetto.as_deref().expect("buffered run keeps the timeline");
         write_artifact(path, perfetto, "Perfetto timeline (open in https://ui.perfetto.dev)");
     }
-    if let Some(path) = stream {
-        println!("wrote streamed Perfetto timeline {path} (open in https://ui.perfetto.dev)");
-    }
-    if let Some(path) = agg_out {
-        let agg = p.agg.as_ref().expect("agg enabled by --agg-out");
-        write_artifact(path, &format!("{}\n", agg.to_json()), "online aggregates");
-    }
+    write_stream_artifacts(args, p.agg.as_ref());
     emit_obs_summary(args, &p.obs.to_json());
     serving::traced_point_to_json(&p, scale, mix, bursty, policy, seed)
 }
@@ -673,12 +630,8 @@ fn serve_slo_stream_rerun(
     rates: &[(String, f64, f64)],
     args: &[String],
 ) {
-    use recross_bench::{cli, serving};
+    use recross_bench::cli;
 
-    let fail = |e: String| -> ! {
-        eprintln!("{e}");
-        std::process::exit(2);
-    };
     let arch = cli::parse_arch(args).unwrap_or_else(|e| fail(e));
     let (_, max_qps, bracket_hi) = rates
         .iter()
@@ -688,22 +641,10 @@ fn serve_slo_stream_rerun(
         println!("{arch}: no SLO-compliant rate in bracket; skipping traced re-run");
         return;
     }
-    let capacity = bracket_hi / 2.0;
-    let load = max_qps / capacity;
-    let dram_tracks = !args.iter().any(|a| a == "--timeline-only");
-    let stream = cli::value_of(args, "--trace-stream");
-    let agg_out = cli::value_of(args, "--agg-out");
+    let load = max_qps / (bracket_hi / 2.0);
 
     banner("recross-obs: streamed re-run of the found max-QPS point");
-    let opts = serving::TraceOptions {
-        stream: stream.map(open_stream),
-        agg: agg_out.is_some(),
-        buffered: false,
-    };
-    let p = serving::traced_point_with(
-        scale, arch, mix, load, bursty, policy, seed, dram_tracks, opts,
-    )
-    .unwrap_or_else(|e| fail(format!("cannot write streamed trace: {e}")));
+    let p = run_traced_point(scale, arch, mix, load, bursty, policy, seed, args, false);
     println!(
         "{}: re-served {:.0} qps ({:.2}x of {:.0} capacity qps): \
          {} completed, {} late, {} queue-shed, {} deadline-shed",
@@ -717,48 +658,30 @@ fn serve_slo_stream_rerun(
         p.obs.deadline_shed
     );
     println!("{}", recorder_stats_line(p.obs.heap_capacity, &p.obs.sinks));
-    if let Some(path) = stream {
-        println!("wrote streamed Perfetto timeline {path} (open in https://ui.perfetto.dev)");
-    }
-    if let Some(path) = agg_out {
-        let agg = p.agg.as_ref().expect("agg enabled by --agg-out");
-        write_artifact(path, &format!("{}\n", agg.to_json()), "online aggregates");
-    }
+    write_stream_artifacts(args, p.agg.as_ref());
 }
 
 fn run_traced(scale: Scale, args: &[String]) {
     use recross_bench::{cli, runtrace};
 
-    let fail = |e: String| -> ! {
-        eprintln!("{e}");
-        std::process::exit(2);
-    };
     let arch = cli::parse_arch(args).unwrap_or_else(|e| fail(e));
     let seed = cli::parse_seed(args).unwrap_or_else(|e| fail(e));
     let stream = cli::value_of(args, "--trace-stream");
-    let agg_out = cli::value_of(args, "--agg-out");
     if stream.is_some() && cli::value_of(args, "--trace-out").is_some() {
         fail(
             "--trace-out buffers the whole timeline in memory; --trace-stream \
-             writes it incrementally — pick one"
-                .to_string(),
+             writes it incrementally — pick one",
         );
     }
     if stream.is_some() && cli::value_of(args, "--dram-trace").is_some() {
         fail(
             "--dram-trace needs the retained command vector, which \
-             --trace-stream deliberately drops — pick one"
-                .to_string(),
+             --trace-stream deliberately drops — pick one",
         );
     }
 
     banner("recross-obs: closed-loop traced run (engine batches down to DRAM commands)");
-    let opts = recross_bench::serving::TraceOptions {
-        stream: stream.map(open_stream),
-        agg: agg_out.is_some(),
-        buffered: stream.is_none(),
-    };
-    let rt = runtrace::closed_loop_trace_with(scale, arch, seed, 0, opts)
+    let rt = runtrace::closed_loop_trace_with(scale, arch, seed, 0, trace_options(args, true))
         .unwrap_or_else(|e| fail(format!("cannot write streamed trace: {e}")));
     println!(
         "{} ({}): {} batches, {} lookups, {} cycles, {} DRAM commands",
@@ -776,60 +699,16 @@ fn run_traced(scale: Scale, args: &[String]) {
         let perfetto = rt.perfetto().expect("buffered capture keeps the timeline");
         write_artifact(path, &perfetto, "Perfetto timeline (open in https://ui.perfetto.dev)");
     }
-    if let Some(path) = stream {
-        println!("wrote streamed Perfetto timeline {path} (open in https://ui.perfetto.dev)");
-    }
     if let Some(path) = cli::value_of(args, "--dram-trace") {
         write_artifact(path, &rt.dram_chrome_trace(), "DRAM command trace");
     }
-    if let Some(path) = agg_out {
-        let agg = rt.aggregates().expect("agg enabled by --agg-out");
-        write_artifact(path, &format!("{}\n", agg.to_json()), "online aggregates");
-    }
+    write_stream_artifacts(args, rt.aggregates());
     let json = rt.to_json(scale, seed);
     emit_obs_summary(args, &json);
     match cli::value_of(args, "--out") {
         Some(path) => write_artifact(path, &format!("{json}\n"), "report"),
         None => println!("{json}"),
     }
-}
-
-fn serve_qps_sweep(
-    scale: Scale,
-    bursty: bool,
-    policy: recross_serve::QueuePolicy,
-    seed: u64,
-) -> String {
-    use recross_bench::serving;
-
-    banner("recross-serve: offered-QPS sweep (open-loop arrivals, batching queue per channel)");
-    let sweeps = serving::qps_sweep(scale, bursty, policy, seed);
-    println!(
-        "{:<10} {:>9} {:>14} {:>12} {:>10} {:>12} {:>12} {:>9} {:>7}",
-        "arch", "load", "offered qps", "goodput", "shed", "p50 (us)", "p99 (us)", "util", "cache"
-    );
-    for s in &sweeps {
-        for (fraction, r) in &s.points {
-            let util = r
-                .channels
-                .iter()
-                .map(|c| c.utilization)
-                .fold(0.0f64, f64::max);
-            println!(
-                "{:<10} {:>8.2}x {:>14.0} {:>12.0} {:>9.1}% {:>12.1} {:>12.1} {:>9.2} {:>6.0}%",
-                s.arch,
-                fraction,
-                r.offered_qps,
-                r.goodput_qps(),
-                r.shed_rate() * 100.0,
-                r.cycles_to_us(r.latency.quantile(0.5)),
-                r.cycles_to_us(r.latency.quantile(0.99)),
-                util,
-                r.cache_hit_rate() * 100.0
-            );
-        }
-    }
-    serving::sweep_to_json(&sweeps, scale, bursty, policy, seed)
 }
 
 fn serve_slo_search(
@@ -842,7 +721,14 @@ fn serve_slo_search(
     use recross_bench::serving;
 
     banner("recross-serve: closed-loop SLO throughput search (bisection over offered QPS)");
-    let reports = serving::slo_search(scale, bursty, policy, seed, slo_p99_us);
+    let reports = serving::slo_search_at(
+        scale,
+        bursty,
+        policy,
+        seed,
+        slo_p99_us,
+        serving::SLO_ITERATIONS,
+    );
     println!(
         "{:<10} {:>14} {:>14} {:>8} {:>14} {:>7}",
         "arch", "slo p99 (us)", "max qps", "probes", "last p99 (us)", "cache"
@@ -866,22 +752,56 @@ fn serve_slo_search(
     (serving::slo_to_json(&reports, scale, bursty, policy, seed), rates)
 }
 
-fn serve_tenant_sweep(
+fn serve_sweep(
     scale: Scale,
-    mix: &recross_serve::TenantMix,
+    mix: Option<&recross_serve::TenantMix>,
+    bursty: bool,
     policy: recross_serve::QueuePolicy,
     seed: u64,
 ) -> String {
     use recross_bench::serving;
 
-    banner("recross-serve: multi-tenant sweep (deadline-aware batching queue per channel)");
-    let sweeps = serving::tenant_sweep(scale, mix, policy, seed);
-    println!(
-        "{:<10} {:>6} {:<8} {:>12} {:>12} {:>10} {:>9} {:>9}",
-        "arch", "load", "tenant", "p50 (us)", "p99 (us)", "goodput", "shed", "miss"
-    );
+    let (title, header) = match mix {
+        Some(_) => (
+            "recross-serve: multi-tenant sweep (deadline-aware batching queue per channel)",
+            format!(
+                "{:<10} {:>6} {:<8} {:>12} {:>12} {:>10} {:>9} {:>9}",
+                "arch", "load", "tenant", "p50 (us)", "p99 (us)", "goodput", "shed", "miss"
+            ),
+        ),
+        None => (
+            "recross-serve: offered-QPS sweep (open-loop arrivals, batching queue per channel)",
+            format!(
+                "{:<10} {:>9} {:>14} {:>12} {:>10} {:>12} {:>12} {:>9} {:>7}",
+                "arch", "load", "offered qps", "goodput", "shed", "p50 (us)", "p99 (us)", "util",
+                "cache"
+            ),
+        ),
+    };
+    banner(title);
+    let sweeps = serving::sweep_at(scale, mix, serving::SWEEP_FRACTIONS, bursty, policy, seed);
+    println!("{header}");
     for s in &sweeps {
         for (fraction, r) in &s.points {
+            if mix.is_none() {
+                let util = r
+                    .channels
+                    .iter()
+                    .map(|c| c.utilization)
+                    .fold(0.0f64, f64::max);
+                println!(
+                    "{:<10} {:>8.2}x {:>14.0} {:>12.0} {:>9.1}% {:>12.1} {:>12.1} {:>9.2} {:>6.0}%",
+                    s.arch,
+                    fraction,
+                    r.offered_qps,
+                    r.goodput_qps(),
+                    r.shed_rate() * 100.0,
+                    r.cycles_to_us(r.latency.quantile(0.5)),
+                    r.cycles_to_us(r.latency.quantile(0.99)),
+                    util,
+                    r.cache_hit_rate() * 100.0
+                );
+            }
             for (i, t) in r.tenants.iter().enumerate() {
                 println!(
                     "{:<10} {:>5.2}x {:<8} {:>12.1} {:>12.1} {:>10.0} {:>8.1}% {:>8.1}%",
@@ -897,7 +817,7 @@ fn serve_tenant_sweep(
             }
         }
     }
-    serving::tenant_sweep_to_json(&sweeps, scale, mix, policy, seed)
+    serving::sweep_to_json(&sweeps, scale, mix, bursty, policy, seed)
 }
 
 fn serve_tenant_slo(
@@ -909,7 +829,7 @@ fn serve_tenant_slo(
     use recross_bench::serving;
 
     banner("recross-serve: multi-tenant SLO search (max aggregate QPS, every tenant on time)");
-    let reports = serving::tenant_slo_search(scale, mix, policy, seed);
+    let reports = serving::tenant_slo_search_at(scale, mix, policy, seed, serving::SLO_ITERATIONS);
     println!(
         "{:<10} {:>14} {:>8} {:<8} {:>14} {:>14}",
         "arch", "max qps", "probes", "tenant", "p99 (us)", "deadline (us)"

@@ -32,7 +32,7 @@ use recross_dram::{Cycle, DramConfig, IssuedCommand};
 use recross_nmp::multichannel::ChannelPlan;
 use recross_obs::agg::{Aggregates, Aggregator};
 use recross_obs::{chrome_trace_string, ChromeStreamSink, Recorder};
-use recross_serve::report::{fmt_f64, json_string};
+use recross_obs::{fmt_f64, json_string};
 
 use crate::serving::{arch_sessions, TraceOptions};
 use crate::workloads::{dram, generator, Scale};
@@ -129,11 +129,6 @@ impl RunTrace {
     /// (deterministic bytes for a given input — identical for buffered
     /// and unbuffered captures of the same run).
     pub fn to_json(&self, scale: Scale, seed: u64) -> String {
-        let scale_name = match scale {
-            Scale::Paper => "paper",
-            Scale::Quick => "quick",
-            Scale::Tiny => "tiny",
-        };
         let batches: Vec<String> = self
             .batches
             .iter()
@@ -149,7 +144,7 @@ impl RunTrace {
                 "\"commands\":{},\"throughput_lookups_per_cycle\":{},",
                 "\"dram\":{}}}"
             ),
-            json_string(scale_name),
+            json_string(scale.name()),
             json_string(&self.arch),
             json_string(&self.engine),
             seed,
@@ -168,17 +163,13 @@ impl RunTrace {
 /// (closed-loop runs are single-server; the serving path is where
 /// multi-channel sharding lives). `max_batches` caps how many trace
 /// batches are traced (0 means all).
-pub fn closed_loop_trace(scale: Scale, arch: &str, seed: u64, max_batches: usize) -> RunTrace {
-    closed_loop_trace_with(scale, arch, seed, max_batches, TraceOptions::default())
-        .expect("in-memory tracing cannot fail on IO")
-}
-
-/// [`closed_loop_trace`] with explicit [`TraceOptions`]: stream the
-/// timeline to a writer while the run executes, aggregate online, and/or
-/// drop the in-memory buffers (`buffered: false` retains neither events
-/// nor the command vector — attribution and `to_json` are unaffected,
-/// since both fold incrementally). The streamed bytes are byte-identical
-/// to [`RunTrace::perfetto`] of a buffered capture with the same inputs.
+///
+/// [`TraceOptions`] can stream the timeline to a writer while the run
+/// executes, aggregate online, and/or drop the in-memory buffers
+/// (`buffered: false` retains neither events nor the command vector —
+/// attribution and `to_json` are unaffected, since both fold
+/// incrementally). The streamed bytes are byte-identical to
+/// [`RunTrace::perfetto`] of a buffered capture with the same inputs.
 /// Returns `Err` only when the stream writer fails.
 pub fn closed_loop_trace_with(
     scale: Scale,
@@ -261,9 +252,14 @@ mod tests {
     use super::*;
     use recross_obs::SharedWriter;
 
+    fn capture(scale: Scale, arch: &str, seed: u64, max_batches: usize) -> RunTrace {
+        closed_loop_trace_with(scale, arch, seed, max_batches, TraceOptions::default())
+            .expect("in-memory tracing cannot fail on IO")
+    }
+
     #[test]
     fn closed_loop_trace_is_consistent_and_deterministic() {
-        let rt = closed_loop_trace(Scale::Tiny, "ReCross", 0xD17A, 0);
+        let rt = capture(Scale::Tiny, "ReCross", 0xD17A, 0);
         assert_eq!(rt.arch, "ReCross");
         assert_eq!(rt.engine, "ReCross-d");
         assert!(!rt.batches.is_empty());
@@ -288,7 +284,7 @@ mod tests {
             CommandAttribution::from_commands(&rt.commands, &dram(), rt.total_cycles)
         );
 
-        let rt2 = closed_loop_trace(Scale::Tiny, "ReCross", 0xD17A, 0);
+        let rt2 = capture(Scale::Tiny, "ReCross", 0xD17A, 0);
         assert_eq!(rt.perfetto(), rt2.perfetto(), "same seed, same bytes");
         assert_eq!(
             rt.to_json(Scale::Tiny, 0xD17A),
@@ -303,13 +299,13 @@ mod tests {
         let plan = ChannelPlan::balance_by_load(&trace, 1);
         let session = &mut arch_sessions("CPU", &trace, &plan, 2.0)[0];
         let plain: Cycle = trace.batches.iter().map(|b| session.service(b)).sum();
-        let rt = closed_loop_trace(Scale::Tiny, "CPU", 7, 0);
+        let rt = capture(Scale::Tiny, "CPU", 7, 0);
         assert_eq!(rt.total_cycles, plain);
     }
 
     #[test]
     fn json_and_exports_are_well_formed() {
-        let rt = closed_loop_trace(Scale::Tiny, "CPU", 3, 1);
+        let rt = capture(Scale::Tiny, "CPU", 3, 1);
         assert_eq!(rt.batches.len(), 1, "max_batches caps the run");
         let json = rt.to_json(Scale::Tiny, 3);
         assert!(json.contains("\"experiment\":\"run_trace\""));
@@ -329,7 +325,7 @@ mod tests {
 
     #[test]
     fn streamed_capture_matches_buffered_without_retaining_commands() {
-        let buffered = closed_loop_trace(Scale::Tiny, "ReCross", 0xD17B, 0);
+        let buffered = capture(Scale::Tiny, "ReCross", 0xD17B, 0);
 
         let out = SharedWriter::new();
         let streamed = closed_loop_trace_with(

@@ -21,11 +21,10 @@ use recross::profile::empirical_profiles;
 use recross_nmp::multichannel::ChannelPlan;
 use recross_nmp::session::ServiceSession;
 use recross_nmp::{AccessProfile, CpuBaseline};
-use recross_serve::report::{fmt_f64, json_string};
+use recross_obs::{fmt_f64, json_string};
 use recross_serve::{
-    open_sessions, simulate_sessions, simulate_sessions_obs, simulate_tenant_sessions,
-    simulate_tenant_sessions_obs, ArrivalProcess, BatcherConfig, ObsReport, QueuePolicy,
-    ServeObs, ServeReport, SloReport, TenantMix, TenantSloReport,
+    open_sessions, simulate, ArrivalProcess, BatcherConfig, ObsReport, QueuePolicy, ServeObs,
+    ServeReport, SloReport, TenantMix, TenantRequest, TenantSloReport,
 };
 use recross_workload::{Batch, Trace};
 
@@ -48,15 +47,6 @@ pub fn requests_for(scale: Scale) -> usize {
         Scale::Paper => 512,
         Scale::Quick => 120,
         Scale::Tiny => 32,
-    }
-}
-
-/// Scale name as it appears in emitted JSON.
-fn scale_name(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Paper => "paper",
-        Scale::Quick => "quick",
-        Scale::Tiny => "tiny",
     }
 }
 
@@ -156,95 +146,143 @@ pub(crate) fn arch_sessions(
     }
 }
 
-/// The standard serving workload: `n` single-sample request batches, the
-/// channel plan sharding them, and the batcher configuration.
+/// The standard serving workload of one experiment: `n` single-sample
+/// request batches, the channel plan sharding them, the batcher
+/// configuration, and how requests arrive.
+struct Setup<'a> {
+    trace: Trace,
+    plan: ChannelPlan,
+    cfg: BatcherConfig,
+    cps: f64,
+    mix: Option<&'a TenantMix>,
+    bursty: bool,
+    seed: u64,
+}
+
+/// Builds the [`Setup`] every serving driver runs on: [`tenant_batcher_config`]
+/// when `mix` is given, otherwise [`batcher_config`]. `bursty` shapes the
+/// single-class arrivals; a mix's classes carry their own shapes.
 fn serving_setup(
     scale: Scale,
+    mix: Option<&TenantMix>,
+    bursty: bool,
     policy: QueuePolicy,
     seed: u64,
-) -> (Trace, ChannelPlan, BatcherConfig) {
+) -> Setup<'_> {
     let n = requests_for(scale);
     // One request = one sample: a trace of n single-sample batches.
     let trace = generator(scale, 64).batch_size(1).batches(n).generate(seed);
     let plan = ChannelPlan::balance_by_load(&trace, CHANNELS);
-    (trace, plan, batcher_config(policy))
-}
-
-/// Deterministic arrival timestamps at the given offered rate. The same
-/// base seed for every arch/rate pair, so curves differ only by rate
-/// scaling and service model.
-fn arrivals_at(qps: f64, n: usize, cps: f64, bursty: bool, seed: u64) -> Vec<u64> {
-    let process = if bursty {
-        ArrivalProcess::bursty(qps)
-    } else {
-        ArrivalProcess::poisson(qps)
+    let cfg = match mix {
+        Some(_) => tenant_batcher_config(policy),
+        None => batcher_config(policy),
     };
-    process.timestamps(n, cps, seed ^ 0xA221)
+    Setup {
+        trace,
+        plan,
+        cfg,
+        cps: dram().cycles_per_sec(),
+        mix,
+        bursty,
+        seed,
+    }
 }
 
-/// Runs the full sweep ([`SWEEP_FRACTIONS`]): for CPU and ReCross,
-/// estimate capacity, then simulate every fraction of it under the given
-/// arrival process shape and dequeue policy. Deterministic in `seed`.
-pub fn qps_sweep(scale: Scale, bursty: bool, policy: QueuePolicy, seed: u64) -> Vec<ArchSweep> {
-    qps_sweep_at(scale, SWEEP_FRACTIONS, bursty, policy, seed)
+impl Setup<'_> {
+    /// Opens `arch`'s per-channel sessions and estimates its saturation
+    /// rate through them. The same sessions then serve every point or
+    /// probe, so batch compositions that repeat across rates hit the memo.
+    fn open(&self, arch: &str) -> (Vec<Box<dyn ServiceSession>>, f64) {
+        let mut sessions = arch_sessions(arch, &self.trace, &self.plan, self.cfg.max_batch as f64);
+        let capacity = estimate_capacity_qps(
+            &self.trace,
+            &self.plan,
+            self.cfg.max_batch,
+            self.cps,
+            &mut sessions,
+        );
+        (sessions, capacity)
+    }
+
+    /// Serves the request stream at offered rate `qps`. Arrivals derive
+    /// from the same base seed for every arch/rate pair, so curves differ
+    /// only by rate scaling and service model.
+    fn serve(
+        &self,
+        arch: &str,
+        qps: f64,
+        sessions: &mut [Box<dyn ServiceSession>],
+        obs: Option<&mut ServeObs>,
+    ) -> ServeReport {
+        let n = self.trace.batches.len();
+        let seed = self.seed ^ 0xA221;
+        let requests: Vec<TenantRequest> = match self.mix {
+            Some(m) => m.requests(n, qps, self.cps, seed),
+            None => {
+                let process = if self.bursty {
+                    ArrivalProcess::bursty(qps)
+                } else {
+                    ArrivalProcess::poisson(qps)
+                };
+                let arrivals = process.timestamps(n, self.cps, seed);
+                arrivals.into_iter().map(TenantRequest::untagged).collect()
+            }
+        };
+        simulate(
+            arch,
+            &self.trace,
+            &self.plan,
+            &requests,
+            self.mix,
+            self.cfg,
+            self.cps,
+            sessions,
+            obs,
+        )
+    }
 }
 
-/// [`qps_sweep`] over an explicit list of capacity fractions.
-pub fn qps_sweep_at(
+/// Runs a sweep over the given fractions of each architecture's
+/// saturation rate (usually [`SWEEP_FRACTIONS`]): for CPU and ReCross,
+/// estimate capacity, then simulate every fraction of it. Without a mix
+/// the requests arrive in one Poisson (or, with `bursty`, MMPP) stream
+/// through [`batcher_config`]; with one they are the deadline-tagged
+/// stream of its classes through [`tenant_batcher_config`], and the
+/// reports carry per-tenant sections. Deterministic in `seed`.
+pub fn sweep_at(
     scale: Scale,
+    mix: Option<&TenantMix>,
     fractions: &[f64],
     bursty: bool,
     policy: QueuePolicy,
     seed: u64,
 ) -> Vec<ArchSweep> {
-    let d = dram();
-    let cps = d.cycles_per_sec();
-    let (trace, plan, cfg) = serving_setup(scale, policy, seed);
-    let n = trace.batches.len();
-    let batch_hint = cfg.max_batch as f64;
-
-    let mut sweeps = Vec::new();
-    for arch in ["CPU", "ReCross"] {
-        // One set of sessions serves the capacity estimate and every sweep
-        // point; batch compositions repeating across points hit the memo.
-        let mut sessions = arch_sessions(arch, &trace, &plan, batch_hint);
-        let capacity = estimate_capacity_qps(&trace, &plan, cfg.max_batch, cps, &mut sessions);
-        let points = fractions
-            .iter()
-            .map(|&fraction| {
-                let qps = capacity * fraction;
-                let arrivals = arrivals_at(qps, n, cps, bursty, seed);
-                let report =
-                    simulate_sessions(arch, &trace, &plan, &arrivals, cfg, cps, &mut sessions);
-                (fraction, report)
-            })
-            .collect();
-        sweeps.push(ArchSweep {
-            arch: arch.to_string(),
-            capacity_qps: capacity,
-            points,
-        });
-    }
-    sweeps
+    let setup = serving_setup(scale, mix, bursty, policy, seed);
+    ["CPU", "ReCross"]
+        .into_iter()
+        .map(|arch| {
+            let (mut sessions, capacity) = setup.open(arch);
+            let points = fractions
+                .iter()
+                .map(|&f| (f, setup.serve(arch, capacity * f, &mut sessions, None)))
+                .collect();
+            ArchSweep {
+                arch: arch.to_string(),
+                capacity_qps: capacity,
+                points,
+            }
+        })
+        .collect()
 }
 
 /// Runs the closed-loop SLO throughput search for CPU and ReCross: find
 /// the highest offered QPS whose p99 latency stays within `slo_p99_us`
 /// microseconds with nothing shed. The bisection bracket is
 /// `[0.05, 2.0] ×` the architecture's estimated saturation rate, probed
-/// for [`SLO_ITERATIONS`] halvings. Deterministic in `seed` — identical
-/// invocations produce byte-identical [`SloReport`]s.
-pub fn slo_search(
-    scale: Scale,
-    bursty: bool,
-    policy: QueuePolicy,
-    seed: u64,
-    slo_p99_us: f64,
-) -> Vec<SloReport> {
-    slo_search_at(scale, bursty, policy, seed, slo_p99_us, SLO_ITERATIONS)
-}
-
-/// [`slo_search`] with an explicit bisection-iteration count.
+/// for `iterations` halvings (usually [`SLO_ITERATIONS`]). Sessions
+/// persist across all probes of the search, so later probes price most
+/// dispatched batches straight from the memo. Deterministic in `seed` —
+/// identical invocations produce byte-identical [`SloReport`]s.
 pub fn slo_search_at(
     scale: Scale,
     bursty: bool,
@@ -253,103 +291,27 @@ pub fn slo_search_at(
     slo_p99_us: f64,
     iterations: u32,
 ) -> Vec<SloReport> {
-    let d = dram();
-    let cps = d.cycles_per_sec();
-    let (trace, plan, cfg) = serving_setup(scale, policy, seed);
-    let n = trace.batches.len();
-    let batch_hint = cfg.max_batch as f64;
-
-    let mut reports = Vec::new();
-    for arch in ["CPU", "ReCross"] {
-        // Sessions persist across all probes of the search: every probe
-        // replays the same request set at a different rate, so later
-        // probes price most dispatched batches straight from the memo.
-        let mut sessions = arch_sessions(arch, &trace, &plan, batch_hint);
-        let capacity = estimate_capacity_qps(&trace, &plan, cfg.max_batch, cps, &mut sessions);
-        let report = recross_serve::slo::search(
-            arch,
-            slo_p99_us,
-            capacity * 0.05,
-            capacity * 2.0,
-            iterations,
-            |qps| {
-                let arrivals = arrivals_at(qps, n, cps, bursty, seed);
-                simulate_sessions(arch, &trace, &plan, &arrivals, cfg, cps, &mut sessions)
-            },
-        );
-        reports.push(report);
-    }
-    reports
-}
-
-/// Runs the multi-tenant sweep: for CPU and ReCross, estimate aggregate
-/// capacity, then serve every [`SWEEP_FRACTIONS`] fraction of it as a
-/// deadline-tagged request stream generated by `mix` (each tenant drawing
-/// its own share and arrival shape), through [`tenant_batcher_config`].
-/// Deterministic in `seed`; the reports carry per-tenant sections.
-pub fn tenant_sweep(
-    scale: Scale,
-    mix: &TenantMix,
-    policy: QueuePolicy,
-    seed: u64,
-) -> Vec<ArchSweep> {
-    tenant_sweep_at(scale, mix, SWEEP_FRACTIONS, policy, seed)
-}
-
-/// [`tenant_sweep`] over an explicit list of capacity fractions.
-pub fn tenant_sweep_at(
-    scale: Scale,
-    mix: &TenantMix,
-    fractions: &[f64],
-    policy: QueuePolicy,
-    seed: u64,
-) -> Vec<ArchSweep> {
-    let d = dram();
-    let cps = d.cycles_per_sec();
-    let n = requests_for(scale);
-    let trace = generator(scale, 64).batch_size(1).batches(n).generate(seed);
-    let plan = ChannelPlan::balance_by_load(&trace, CHANNELS);
-    let cfg = tenant_batcher_config(policy);
-    let batch_hint = cfg.max_batch as f64;
-
-    let mut sweeps = Vec::new();
-    for arch in ["CPU", "ReCross"] {
-        let mut sessions = arch_sessions(arch, &trace, &plan, batch_hint);
-        let capacity = estimate_capacity_qps(&trace, &plan, cfg.max_batch, cps, &mut sessions);
-        let points = fractions
-            .iter()
-            .map(|&fraction| {
-                let qps = capacity * fraction;
-                let requests = mix.requests(n, qps, cps, seed ^ 0xA221);
-                let report = simulate_tenant_sessions(
-                    arch, &trace, &plan, &requests, mix, cfg, cps, &mut sessions,
-                );
-                (fraction, report)
-            })
-            .collect();
-        sweeps.push(ArchSweep {
-            arch: arch.to_string(),
-            capacity_qps: capacity,
-            points,
-        });
-    }
-    sweeps
+    let setup = serving_setup(scale, None, bursty, policy, seed);
+    ["CPU", "ReCross"]
+        .into_iter()
+        .map(|arch| {
+            let (mut sessions, capacity) = setup.open(arch);
+            recross_serve::slo::search(
+                arch,
+                slo_p99_us,
+                capacity * 0.05,
+                capacity * 2.0,
+                iterations,
+                |qps| setup.serve(arch, qps, &mut sessions, None),
+            )
+        })
+        .collect()
 }
 
 /// Runs the multi-tenant SLO throughput search for CPU and ReCross: the
 /// highest **aggregate** QPS at which every tenant of `mix` sheds nothing
 /// and keeps its p99 latency within its own deadline. Bracket and
-/// iteration budget as in [`slo_search`]. Deterministic in `seed`.
-pub fn tenant_slo_search(
-    scale: Scale,
-    mix: &TenantMix,
-    policy: QueuePolicy,
-    seed: u64,
-) -> Vec<TenantSloReport> {
-    tenant_slo_search_at(scale, mix, policy, seed, SLO_ITERATIONS)
-}
-
-/// [`tenant_slo_search`] with an explicit bisection-iteration count.
+/// iteration budget as in [`slo_search_at`]. Deterministic in `seed`.
 pub fn tenant_slo_search_at(
     scale: Scale,
     mix: &TenantMix,
@@ -357,33 +319,20 @@ pub fn tenant_slo_search_at(
     seed: u64,
     iterations: u32,
 ) -> Vec<TenantSloReport> {
-    let d = dram();
-    let cps = d.cycles_per_sec();
-    let n = requests_for(scale);
-    let trace = generator(scale, 64).batch_size(1).batches(n).generate(seed);
-    let plan = ChannelPlan::balance_by_load(&trace, CHANNELS);
-    let cfg = tenant_batcher_config(policy);
-    let batch_hint = cfg.max_batch as f64;
-
-    let mut reports = Vec::new();
-    for arch in ["CPU", "ReCross"] {
-        let mut sessions = arch_sessions(arch, &trace, &plan, batch_hint);
-        let capacity = estimate_capacity_qps(&trace, &plan, cfg.max_batch, cps, &mut sessions);
-        let report = recross_serve::slo::search_tenants(
-            arch,
-            capacity * 0.05,
-            capacity * 2.0,
-            iterations,
-            |qps| {
-                let requests = mix.requests(n, qps, cps, seed ^ 0xA221);
-                simulate_tenant_sessions(
-                    arch, &trace, &plan, &requests, mix, cfg, cps, &mut sessions,
-                )
-            },
-        );
-        reports.push(report);
-    }
-    reports
+    let setup = serving_setup(scale, Some(mix), false, policy, seed);
+    ["CPU", "ReCross"]
+        .into_iter()
+        .map(|arch| {
+            let (mut sessions, capacity) = setup.open(arch);
+            recross_serve::slo::search_tenants(
+                arch,
+                capacity * 0.05,
+                capacity * 2.0,
+                iterations,
+                |qps| setup.serve(arch, qps, &mut sessions, None),
+            )
+        })
+        .collect()
 }
 
 /// The tenant classes of a mix as a JSON array (metadata echoed into the
@@ -406,16 +355,61 @@ fn mix_to_json(mix: &TenantMix) -> String {
     format!("[{}]", classes.join(","))
 }
 
-/// The whole sweep as one JSON document (deterministic bytes for a given
-/// input — see module docs).
-pub fn sweep_to_json(
-    sweeps: &[ArchSweep],
+/// The arrival-shape field of a document: the mix's classes, or the
+/// single stream's process.
+fn arrival_json(mix: Option<&TenantMix>, bursty: bool) -> String {
+    match mix {
+        Some(m) => format!("\"tenant_classes\":{}", mix_to_json(m)),
+        None => format!(
+            "\"arrival\":{}",
+            json_string(if bursty { "bursty" } else { "poisson" })
+        ),
+    }
+}
+
+/// The metadata fields shared by the sweep and search documents. The
+/// arrival shape leads a single-stream document and the tenant classes
+/// close a tenant one.
+fn header_json(
+    experiment: &str,
     scale: Scale,
+    mix: Option<&TenantMix>,
     bursty: bool,
     policy: QueuePolicy,
     seed: u64,
 ) -> String {
-    let cfg = batcher_config(policy);
+    let arrival = arrival_json(mix, bursty);
+    let (lead, tail) = match mix {
+        Some(_) => (String::new(), format!(",{arrival}")),
+        None => (format!("{arrival},"), String::new()),
+    };
+    format!(
+        concat!(
+            "\"experiment\":{},\"scale\":{},{}\"policy\":{},\"seed\":{},",
+            "\"channels\":{},\"requests\":{}{}"
+        ),
+        json_string(experiment),
+        json_string(scale.name()),
+        lead,
+        json_string(policy.kind()),
+        seed,
+        CHANNELS,
+        requests_for(scale),
+        tail
+    )
+}
+
+/// The whole sweep as one JSON document (deterministic bytes for a given
+/// input — CI byte-compares two runs): `serve_qps_sweep` without a mix,
+/// `serve_tenant_sweep` with one.
+pub fn sweep_to_json(
+    sweeps: &[ArchSweep],
+    scale: Scale,
+    mix: Option<&TenantMix>,
+    bursty: bool,
+    policy: QueuePolicy,
+    seed: u64,
+) -> String {
     let archs: Vec<String> = sweeps
         .iter()
         .map(|s| {
@@ -434,23 +428,27 @@ pub fn sweep_to_json(
             )
         })
         .collect();
+    let (experiment, cfg, shed) = match mix {
+        None => ("serve_qps_sweep", batcher_config(policy), String::new()),
+        Some(_) => {
+            let cfg = tenant_batcher_config(policy);
+            let shed = format!(
+                ",\"shed_expired\":{},\"adaptive_linger\":{}",
+                cfg.shed_expired, cfg.adaptive_linger
+            );
+            ("serve_tenant_sweep", cfg, shed)
+        }
+    };
     format!(
         concat!(
-            "{{\"experiment\":\"serve_qps_sweep\",\"scale\":{},",
-            "\"arrival\":{},\"policy\":{},\"seed\":{},\"channels\":{},",
-            "\"requests\":{},\"batcher\":{{\"max_batch\":{},",
-            "\"max_linger_cycles\":{},\"queue_depth\":{}}},",
-            "\"archs\":[{}]}}"
+            "{{{},\"batcher\":{{\"max_batch\":{},\"max_linger_cycles\":{},",
+            "\"queue_depth\":{}{}}},\"archs\":[{}]}}"
         ),
-        json_string(scale_name(scale)),
-        json_string(if bursty { "bursty" } else { "poisson" }),
-        json_string(policy.kind()),
-        seed,
-        CHANNELS,
-        requests_for(scale),
+        header_json(experiment, scale, mix, bursty, policy, seed),
         cfg.max_batch,
         cfg.max_linger,
         cfg.queue_depth,
+        shed,
         archs.join(",")
     )
 }
@@ -466,69 +464,8 @@ pub fn slo_to_json(
 ) -> String {
     let archs: Vec<String> = reports.iter().map(|r| r.to_json()).collect();
     format!(
-        concat!(
-            "{{\"experiment\":\"serve_slo_search\",\"scale\":{},",
-            "\"arrival\":{},\"policy\":{},\"seed\":{},\"channels\":{},",
-            "\"requests\":{},\"archs\":[{}]}}"
-        ),
-        json_string(scale_name(scale)),
-        json_string(if bursty { "bursty" } else { "poisson" }),
-        json_string(policy.kind()),
-        seed,
-        CHANNELS,
-        requests_for(scale),
-        archs.join(",")
-    )
-}
-
-/// The whole multi-tenant sweep as one JSON document (deterministic bytes
-/// for a given input — CI byte-compares two runs).
-pub fn tenant_sweep_to_json(
-    sweeps: &[ArchSweep],
-    scale: Scale,
-    mix: &TenantMix,
-    policy: QueuePolicy,
-    seed: u64,
-) -> String {
-    let cfg = tenant_batcher_config(policy);
-    let archs: Vec<String> = sweeps
-        .iter()
-        .map(|s| {
-            let points: Vec<String> = s
-                .points
-                .iter()
-                .map(|(f, r)| {
-                    format!("{{\"fraction\":{},\"result\":{}}}", fmt_f64(*f), r.to_json())
-                })
-                .collect();
-            format!(
-                "{{\"arch\":{},\"capacity_qps\":{},\"points\":[{}]}}",
-                json_string(&s.arch),
-                fmt_f64(s.capacity_qps),
-                points.join(",")
-            )
-        })
-        .collect();
-    format!(
-        concat!(
-            "{{\"experiment\":\"serve_tenant_sweep\",\"scale\":{},",
-            "\"policy\":{},\"seed\":{},\"channels\":{},\"requests\":{},",
-            "\"tenant_classes\":{},",
-            "\"batcher\":{{\"max_batch\":{},\"max_linger_cycles\":{},",
-            "\"queue_depth\":{},\"shed_expired\":{},\"adaptive_linger\":{}}},",
-            "\"archs\":[{}]}}"
-        ),
-        json_string(scale_name(scale)),
-        json_string(policy.kind()),
-        seed,
-        CHANNELS,
-        requests_for(scale),
-        mix_to_json(mix),
-        cfg.max_batch,
-        cfg.max_linger,
-        cfg.queue_depth,
-        cfg.shed_expired,
-        cfg.adaptive_linger,
+        "{{{},\"archs\":[{}]}}",
+        header_json("serve_slo_search", scale, None, bursty, policy, seed),
         archs.join(",")
     )
 }
@@ -544,17 +481,8 @@ pub fn tenant_slo_to_json(
 ) -> String {
     let archs: Vec<String> = reports.iter().map(|r| r.to_json()).collect();
     format!(
-        concat!(
-            "{{\"experiment\":\"serve_tenant_slo_search\",\"scale\":{},",
-            "\"policy\":{},\"seed\":{},\"channels\":{},\"requests\":{},",
-            "\"tenant_classes\":{},\"archs\":[{}]}}"
-        ),
-        json_string(scale_name(scale)),
-        json_string(policy.kind()),
-        seed,
-        CHANNELS,
-        requests_for(scale),
-        mix_to_json(mix),
+        "{{{},\"archs\":[{}]}}",
+        header_json("serve_tenant_slo_search", scale, Some(mix), false, policy, seed),
         archs.join(",")
     )
 }
@@ -623,43 +551,16 @@ pub struct TracedPoint {
 
 /// Runs one traced serving point for a single architecture at
 /// `load × capacity`: the same workload, channel plan, and batcher as the
-/// sweeps ([`tenant_batcher_config`] when `mix` is given, otherwise
-/// [`batcher_config`]), but through the observed simulation entry points,
-/// yielding a request-to-DRAM-command timeline alongside the report.
+/// sweeps, but with a [`ServeObs`] attached, yielding a
+/// request-to-DRAM-command timeline alongside the report.
 /// `dram_trace=false` keeps the request/batch timeline but skips the
-/// per-command bank tracks (and re-running each batch traced).
-/// Deterministic in `seed` — reruns are byte-identical.
-#[allow(clippy::too_many_arguments)]
-pub fn traced_point(
-    scale: Scale,
-    arch: &str,
-    mix: Option<&TenantMix>,
-    load: f64,
-    bursty: bool,
-    policy: QueuePolicy,
-    seed: u64,
-    dram_trace: bool,
-) -> TracedPoint {
-    traced_point_with(
-        scale,
-        arch,
-        mix,
-        load,
-        bursty,
-        policy,
-        seed,
-        dram_trace,
-        TraceOptions::default(),
-    )
-    .expect("in-memory tracing cannot fail on IO")
-}
-
-/// [`traced_point`] with explicit [`TraceOptions`]: stream the timeline
-/// to a writer while the simulation runs, aggregate online, and/or drop
-/// the in-memory event buffer for bounded-memory long runs. The streamed
-/// bytes are byte-identical to [`TracedPoint::perfetto`] of a buffered
-/// run with the same inputs. Returns `Err` only when the stream writer
-/// fails.
+/// per-command bank tracks (and re-running each batch traced). `opts`
+/// can stream the timeline to a writer while the simulation runs,
+/// aggregate online, and/or drop the in-memory event buffer for
+/// bounded-memory long runs; the streamed bytes are byte-identical to
+/// [`TracedPoint::perfetto`] of a buffered run with the same inputs.
+/// Deterministic in `seed` — reruns are byte-identical. Returns `Err`
+/// only when the stream writer fails.
 #[allow(clippy::too_many_arguments)]
 pub fn traced_point_with(
     scale: Scale,
@@ -672,21 +573,11 @@ pub fn traced_point_with(
     dram_trace: bool,
     opts: TraceOptions,
 ) -> std::io::Result<TracedPoint> {
-    let d = dram();
-    let cps = d.cycles_per_sec();
-    let n = requests_for(scale);
-    let trace = generator(scale, 64).batch_size(1).batches(n).generate(seed);
-    let plan = ChannelPlan::balance_by_load(&trace, CHANNELS);
-    let cfg = match mix {
-        Some(_) => tenant_batcher_config(policy),
-        None => batcher_config(policy),
-    };
-
-    let mut sessions = arch_sessions(arch, &trace, &plan, cfg.max_batch as f64);
-    let capacity = estimate_capacity_qps(&trace, &plan, cfg.max_batch, cps, &mut sessions);
+    let setup = serving_setup(scale, mix, bursty, policy, seed);
+    let (mut sessions, capacity) = setup.open(arch);
     let qps = capacity * load;
 
-    let mut obs = ServeObs::new(d);
+    let mut obs = ServeObs::new(dram());
     obs.set_dram_trace(dram_trace);
     if let Some(w) = opts.stream {
         obs.stream_to(w);
@@ -697,18 +588,7 @@ pub fn traced_point_with(
     if !opts.buffered {
         obs.unbuffer();
     }
-    let report = match mix {
-        Some(m) => {
-            let requests = m.requests(n, qps, cps, seed ^ 0xA221);
-            simulate_tenant_sessions_obs(
-                arch, &trace, &plan, &requests, m, cfg, cps, &mut sessions, &mut obs,
-            )
-        }
-        None => {
-            let arrivals = arrivals_at(qps, n, cps, bursty, seed);
-            simulate_sessions_obs(arch, &trace, &plan, &arrivals, cfg, cps, &mut sessions, &mut obs)
-        }
-    };
+    let report = setup.serve(arch, qps, &mut sessions, Some(&mut obs));
     obs.finish()?;
     let obs_report = obs.obs_report(&report);
     let perfetto = opts.buffered.then(|| obs.chrome_trace_string());
@@ -738,13 +618,6 @@ pub fn traced_point_to_json(
     policy: QueuePolicy,
     seed: u64,
 ) -> String {
-    let arrival = match mix {
-        Some(m) => format!("\"tenant_classes\":{}", mix_to_json(m)),
-        None => format!(
-            "\"arrival\":{}",
-            json_string(if bursty { "bursty" } else { "poisson" })
-        ),
-    };
     format!(
         concat!(
             "{{\"experiment\":\"serve_trace_point\",\"scale\":{},",
@@ -753,9 +626,9 @@ pub fn traced_point_to_json(
             "\"offered_qps\":{},\"dram_trace\":{},",
             "\"serve\":{},\"obs\":{}}}"
         ),
-        json_string(scale_name(scale)),
+        json_string(scale.name()),
         json_string(&point.arch),
-        arrival,
+        arrival_json(mix, bursty),
         json_string(policy.kind()),
         seed,
         CHANNELS,
@@ -784,7 +657,7 @@ mod tests {
     #[test]
     fn sweep_sheds_only_past_saturation() {
         let seed = 0x5E21;
-        let sweeps = qps_sweep(Scale::Tiny, false, QueuePolicy::Fifo, seed);
+        let sweeps = sweep_at(Scale::Tiny, None, SWEEP_FRACTIONS, false, QueuePolicy::Fifo, seed);
         assert_eq!(sweeps.len(), 2);
         for s in &sweeps {
             assert!(s.capacity_qps > 0.0, "{}: positive capacity", s.arch);
@@ -816,18 +689,19 @@ mod tests {
     fn sweep_is_byte_identical_across_reruns() {
         let seed = 0x5E22;
         let frac = [0.4];
-        let a = qps_sweep_at(Scale::Tiny, &frac, false, QueuePolicy::Fifo, seed);
-        let b = qps_sweep_at(Scale::Tiny, &frac, false, QueuePolicy::Fifo, seed);
+        let a = sweep_at(Scale::Tiny, None, &frac, false, QueuePolicy::Fifo, seed);
+        let b = sweep_at(Scale::Tiny, None, &frac, false, QueuePolicy::Fifo, seed);
         assert_eq!(
-            sweep_to_json(&a, Scale::Tiny, false, QueuePolicy::Fifo, seed),
-            sweep_to_json(&b, Scale::Tiny, false, QueuePolicy::Fifo, seed)
+            sweep_to_json(&a, Scale::Tiny, None, false, QueuePolicy::Fifo, seed),
+            sweep_to_json(&b, Scale::Tiny, None, false, QueuePolicy::Fifo, seed)
         );
     }
 
     #[test]
     fn sjf_and_bursty_variants_run() {
-        let sweeps = qps_sweep_at(Scale::Tiny, &[0.8], true, QueuePolicy::ShortestJobFirst, 3);
-        let json = sweep_to_json(&sweeps, Scale::Tiny, true, QueuePolicy::ShortestJobFirst, 3);
+        let sjf = QueuePolicy::ShortestJobFirst;
+        let sweeps = sweep_at(Scale::Tiny, None, &[0.8], true, sjf, 3);
+        let json = sweep_to_json(&sweeps, Scale::Tiny, None, true, sjf, 3);
         assert!(json.contains("\"arrival\":\"bursty\""));
         assert!(json.contains("\"policy\":\"sjf\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
@@ -881,7 +755,7 @@ mod tests {
     #[test]
     fn tenant_sweep_reports_all_classes_and_balances() {
         let mix = test_mix();
-        let sweeps = tenant_sweep_at(Scale::Tiny, &mix, &[0.5, 2.0], QueuePolicy::Edf, 0x77);
+        let sweeps = sweep_at(Scale::Tiny, Some(&mix), &[0.5, 2.0], false, QueuePolicy::Edf, 0x77);
         assert_eq!(sweeps.len(), 2);
         for s in &sweeps {
             for (_, r) in &s.points {
@@ -907,8 +781,8 @@ mod tests {
     fn tenant_sweep_is_byte_identical_across_reruns() {
         let mix = test_mix();
         let go = || {
-            let s = tenant_sweep_at(Scale::Tiny, &mix, &[0.8], QueuePolicy::Edf, 0x78);
-            tenant_sweep_to_json(&s, Scale::Tiny, &mix, QueuePolicy::Edf, 0x78)
+            let s = sweep_at(Scale::Tiny, Some(&mix), &[0.8], false, QueuePolicy::Edf, 0x78);
+            sweep_to_json(&s, Scale::Tiny, Some(&mix), false, QueuePolicy::Edf, 0x78)
         };
         let (a, b) = (go(), go());
         assert_eq!(a, b, "same seed, same bytes");
@@ -923,7 +797,7 @@ mod tests {
         // The traced run and the plain sweep at the same fraction must
         // price identically: tracing never perturbs the simulation.
         let (seed, load) = (0x90, 0.8);
-        let p = traced_point(
+        let p = traced_point_with(
             Scale::Tiny,
             "ReCross",
             None,
@@ -932,8 +806,10 @@ mod tests {
             QueuePolicy::Fifo,
             seed,
             true,
-        );
-        let sweeps = qps_sweep_at(Scale::Tiny, &[load], false, QueuePolicy::Fifo, seed);
+            TraceOptions::default(),
+        )
+        .expect("in-memory tracing cannot fail");
+        let sweeps = sweep_at(Scale::Tiny, None, &[load], false, QueuePolicy::Fifo, seed);
         let plain = &sweeps[1]; // [CPU, ReCross]
         assert_eq!(plain.arch, "ReCross");
         assert_eq!(p.capacity_qps, plain.capacity_qps);
@@ -950,7 +826,7 @@ mod tests {
     fn traced_tenant_point_is_byte_identical_across_reruns() {
         let mix = test_mix();
         let go = || {
-            let p = traced_point(
+            let p = traced_point_with(
                 Scale::Tiny,
                 "CPU",
                 Some(&mix),
@@ -959,7 +835,9 @@ mod tests {
                 QueuePolicy::Edf,
                 0x91,
                 false,
-            );
+                TraceOptions::default(),
+            )
+            .expect("in-memory tracing cannot fail");
             (
                 traced_point_to_json(&p, Scale::Tiny, Some(&mix), false, QueuePolicy::Edf, 0x91),
                 p.perfetto.expect("buffered run keeps the timeline"),

@@ -20,6 +20,15 @@ pub enum Scale {
 }
 
 impl Scale {
+    /// Scale name as it appears in emitted JSON.
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Paper => "paper",
+            Scale::Quick => "quick",
+            Scale::Tiny => "tiny",
+        }
+    }
+
     /// Batches to simulate.
     pub fn batches(self) -> usize {
         match self {

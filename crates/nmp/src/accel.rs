@@ -79,9 +79,6 @@ pub struct RunReport {
     pub cache_hits: u64,
     /// Per-op latency percentiles.
     pub op_latency: LatencySummary,
-    /// Per-batch latency percentiles (completion − arrival; closed-loop
-    /// runs measure completion − previous-batch floor).
-    pub batch_latency: LatencySummary,
     /// Full DRAM command trace, cycle-sorted — populated only when
     /// [`EngineConfig::trace_commands`](crate::engine::EngineConfig) is
     /// set (the observability path feeding obs tracks and

@@ -26,11 +26,10 @@
 //!   batch its cycle-accurate session
 //!   [`service`](recross_nmp::session::ServiceSession::service) time;
 //!   sessions opened once ([`open_sessions`]) carry their resolved layout
-//!   state and memoized service times across runs;
-//! * [`obs`] — cross-layer tracing ([`ServeObs`]): run the same
-//!   simulation through [`simulate_sessions_obs`] /
-//!   [`simulate_tenant_sessions_obs`] (byte-identical reports — tracing
-//!   never perturbs pricing) and get a unified Perfetto timeline from
+//!   state and memoized service times across [`simulate`] runs;
+//! * [`obs`] — cross-layer tracing ([`ServeObs`]): hand one to
+//!   [`simulate`] (byte-identical reports — tracing never perturbs
+//!   pricing) and get a unified Perfetto timeline from
 //!   tenant request lanes down to per-bank DRAM commands, plus a
 //!   deterministic [`ObsReport`] with bottleneck attribution;
 //! * [`slo`] — closed-loop SLO throughput searches: deterministic
@@ -55,7 +54,7 @@
 //! use recross_nmp::cpu::CpuBaseline;
 //! use recross_nmp::multichannel::ChannelPlan;
 //! use recross_serve::{
-//!     simulate_tenants, BatcherConfig, Priority, QueuePolicy, TenantClass,
+//!     open_sessions, simulate, BatcherConfig, Priority, QueuePolicy, TenantClass,
 //!     TenantMix, TenantProcess,
 //! };
 //! use recross_workload::TraceGenerator;
@@ -82,9 +81,9 @@
 //!     adaptive_linger: true,
 //!     ..BatcherConfig::default()
 //! };
-//! let report = simulate_tenants(
-//!     "CPU", &trace, &plan, &requests, &mix, cfg, cps,
-//!     |_, _| CpuBaseline::new(dram.clone()),
+//! let mut sessions = open_sessions(&trace, &plan, |_, _| CpuBaseline::new(dram.clone()));
+//! let report = simulate(
+//!     "CPU", &trace, &plan, &requests, Some(&mix), cfg, cps, &mut sessions, None,
 //! );
 //!
 //! assert_eq!(report.tenants.len(), 2);
@@ -117,8 +116,8 @@ pub use hist::LatencyHistogram;
 pub use obs::{LifecycleTotals, ObsChannel, ObsReport, ObsTenant, ServeObs};
 pub use report::{ChannelReport, ServeReport, TenantReport};
 pub use sim::{
-    open_sessions, simulate, simulate_sessions, simulate_sessions_obs, simulate_tenant_sessions,
-    simulate_tenant_sessions_obs, simulate_tenants,
+    open_sessions, simulate, simulate_sessions, simulate_tenant_sessions,
+    simulate_tenant_sessions_obs,
 };
 pub use slo::{
     search as slo_search, search_tenants as slo_search_tenants, SloProbe, SloReport,

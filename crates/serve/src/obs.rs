@@ -48,10 +48,10 @@ use recross_dram::attribution::AttributionBuilder;
 use recross_dram::traceviz::{dram_tracks, record_commands, DramTracks};
 use recross_dram::{CommandAttribution, Cycle, DramConfig, IssuedCommand};
 use recross_obs::agg::{parse_fate, Aggregates, Aggregator};
-use recross_obs::{ChromeStreamSink, Recorder, RingSink, SinkStats, TrackId};
+use recross_obs::{fmt_f64, json_string, ChromeStreamSink, Recorder, RingSink, SinkStats, TrackId};
 
 use crate::hist::LatencyHistogram;
-use crate::report::{fmt_f64, json_string, ServeReport};
+use crate::report::ServeReport;
 
 /// Request-fate tallies accumulated while synthesizing request lanes;
 /// one count per lifecycle outcome, plus the span total the lifecycle
@@ -107,10 +107,9 @@ struct TenantStats {
 /// The cross-layer trace recorder for one serving run.
 ///
 /// Create one per traced simulation, pass it to
-/// [`simulate_sessions_obs`](crate::sim::simulate_sessions_obs) or
-/// [`simulate_tenant_sessions_obs`](crate::sim::simulate_tenant_sessions_obs),
-/// then export the timeline ([`write_chrome_trace`](Self::write_chrome_trace))
-/// and the attribution summary ([`obs_report`](Self::obs_report)).
+/// [`simulate`](crate::sim::simulate), then export the timeline
+/// ([`write_chrome_trace`](Self::write_chrome_trace)) and the attribution
+/// summary ([`obs_report`](Self::obs_report)).
 pub struct ServeObs {
     rec: Recorder,
     dram: DramConfig,

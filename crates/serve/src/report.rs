@@ -11,6 +11,7 @@
 
 use recross_dram::Cycle;
 use recross_nmp::session::SessionStats;
+use recross_obs::{fmt_f64, json_string};
 
 use crate::hist::LatencyHistogram;
 use crate::tenant::TenantClass;
@@ -315,40 +316,6 @@ impl ServeReport {
             tenants.join(",")
         )
     }
-}
-
-/// Deterministic JSON float: shortest-roundtrip display; non-finite values
-/// (which valid reports never contain) map to `null`.
-pub fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v}");
-        // `{}` omits ".0" for integral floats (and never uses scientific
-        // notation); keep the result visibly a float.
-        if s.contains('.') {
-            s
-        } else {
-            format!("{s}.0")
-        }
-    } else {
-        "null".to_string()
-    }
-}
-
-/// JSON string literal with the escapes our names can need.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

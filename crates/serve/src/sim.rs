@@ -10,15 +10,15 @@
 //! cycles, so runs are exactly reproducible.
 //!
 //! Sessions are opened once per channel ([`open_sessions`]) and can be
-//! reused across many [`simulate_sessions`] runs over the same trace and
+//! reused across many [`simulate`] runs over the same trace and
 //! plan — that is what makes a QPS sweep or an SLO search affordable: the
 //! session keeps its resolved layout/placement state *and* its memoized
 //! service-time cache across runs, so a batch composition priced at one
 //! offered rate is free at every other rate.
 //!
-//! The tenant-aware entry points ([`simulate_tenant_sessions`] /
-//! [`simulate_tenants`]) run the same loop over a deadline-tagged
-//! [`TenantRequest`] stream: jobs carry their tenant, priority, and
+//! [`simulate`] is the one entry point. An untenanted run is the
+//! one-class case: [`TenantRequest::untagged`] arrivals and no
+//! [`TenantMix`]. With a mix, jobs carry their tenant, priority, and
 //! absolute deadline into the batcher (enabling
 //! [`QueuePolicy::Edf`](crate::batch::QueuePolicy::Edf) and deadline
 //! shedding), and the report gains a per-tenant section. The deadline-shed
@@ -213,6 +213,25 @@ fn simulate_channel(
     }
 }
 
+/// Merges request `i`'s channel parts: it is done when its last part
+/// completes, and dropped if any part was. Returns the completion cycle
+/// (`None` when dropped) and whether a queue dropped it — a queue drop on
+/// any channel outranks a deadline drop on another.
+fn merge_parts(i: usize, arrival: Cycle, outcomes: &[ChannelOutcome]) -> (Option<Cycle>, bool) {
+    let mut done = Some(arrival);
+    let mut queue_shed = false;
+    for o in outcomes {
+        match o.completions[i] {
+            Some(c) => done = done.map(|d| d.max(c)),
+            None => {
+                done = None;
+                queue_shed |= !o.expired_flags[i];
+            }
+        }
+    }
+    (done, queue_shed)
+}
+
 /// Replays the per-request outcomes into `obs` as lifecycle spans: one
 /// span per request on its tenant group's lanes, from arrival to the
 /// request's last resolution event, labeled with its fate and annotated
@@ -224,32 +243,22 @@ fn record_lifecycles(
     outcomes: &[ChannelOutcome],
 ) {
     for (i, req) in requests.iter().enumerate() {
-        // Same merge rule as `ServeReport::from_outcomes`: done = max
-        // completion; a queue drop on any channel outranks a deadline
-        // drop on another.
-        let mut done: Option<Cycle> = Some(req.arrival);
-        let mut queue_shed = false;
+        let (done, queue_shed) = merge_parts(i, req.arrival, outcomes);
         let mut end = req.arrival;
         let mut instants: Vec<(Cycle, String)> = Vec::new();
         for (ch, o) in outcomes.iter().enumerate() {
             match o.completions[i] {
                 Some(c) => {
-                    done = done.map(|d| d.max(c));
                     end = end.max(c);
                     if let Some(td) = o.dispatched_at[i] {
                         instants.push((td, format!("dispatch ch{ch}")));
                     }
                 }
                 None => {
-                    done = None;
                     let t = o.dropped_at[i].unwrap_or(req.arrival);
                     end = end.max(t);
-                    if o.expired_flags[i] {
-                        instants.push((t, format!("deadline-shed ch{ch}")));
-                    } else {
-                        queue_shed = true;
-                        instants.push((t, format!("queue-shed ch{ch}")));
-                    }
+                    let kind = if o.expired_flags[i] { "deadline-shed" } else { "queue-shed" };
+                    instants.push((t, format!("{kind} ch{ch}")));
                 }
             }
         }
@@ -277,8 +286,8 @@ fn record_lifecycles(
 /// contract as [`recross_nmp::multichannel::run_multichannel`]), and each
 /// accelerator's session is prepared for that channel's table universe.
 ///
-/// The sessions can then serve any number of [`simulate_sessions`] runs
-/// over the same `(trace, plan)` pair.
+/// The sessions can then serve any number of [`simulate`] runs over the
+/// same `(trace, plan)` pair.
 pub fn open_sessions<A, F>(
     trace: &Trace,
     plan: &ChannelPlan,
@@ -295,8 +304,46 @@ where
         .collect()
 }
 
+/// Runs the serving simulation against prepared per-channel sessions:
+/// shards `trace` (one batch = one request) across `plan.channels()`
+/// servers, feeds each the same request sequence, and merges per-channel
+/// outcomes into a [`ServeReport`].
+///
+/// `sessions` must have been opened via [`open_sessions`] (or equivalent)
+/// for the **same** `trace` and `plan`; it is borrowed mutably so the same
+/// sessions — including their memoized service times — carry over to the
+/// next run. The report's cache counters cover only this run.
+///
+/// A request is **shed** if any channel's queue dropped its part;
+/// otherwise its latency is `max(channel completion) − arrival`.
+///
+/// `mix` tags the stream with tenant classes (see [`TenantMix::requests`]):
+/// jobs carry tenant, priority, and absolute deadline into each channel's
+/// batcher — so [`QueuePolicy::Edf`](crate::batch::QueuePolicy::Edf),
+/// [`BatcherConfig::shed_expired`], and
+/// [`BatcherConfig::adaptive_linger`] take effect — and the report carries
+/// one [`TenantReport`] per class, in class order, whose counters
+/// partition exactly: `requests = completed + missed + queue_shed +
+/// deadline_shed`. `None` is the single-class case: build the requests
+/// with [`TenantRequest::untagged`] and the report has no tenant section.
+///
+/// With `obs`, every event is also recorded — request lifecycle spans on
+/// one lane group per tenant class, server batch spans, queue-depth
+/// gauges, and (unless disabled via [`ServeObs::set_dram_trace`])
+/// per-dispatch DRAM command tracks. The report is byte-identical to an
+/// untraced run: tracing never perturbs pricing. `obs` must be freshly
+/// created ([`ServeObs::new`]); afterwards export the timeline with
+/// [`ServeObs::write_chrome_trace`] and the attribution summary with
+/// [`ServeObs::obs_report`].
+///
+/// # Panics
+///
+/// Panics if `requests` is not sorted by arrival, its length differs from
+/// the number of request batches in `trace`, a request's tenant index is
+/// out of range for `mix`, `sessions` does not hold one session per
+/// channel, or `obs` already observed a simulation.
 #[allow(clippy::too_many_arguments)]
-fn run_simulation(
+pub fn simulate(
     name: &str,
     trace: &Trace,
     plan: &ChannelPlan,
@@ -352,27 +399,7 @@ fn run_simulation(
     ServeReport::from_outcomes(name, requests, mix, cycles_per_sec, &outcomes)
 }
 
-/// Runs the full serving simulation against prepared per-channel sessions:
-/// shards `trace` (one batch = one request) across `plan.channels()`
-/// servers, feeds each the same arrival sequence, and merges per-channel
-/// outcomes into a [`ServeReport`].
-///
-/// `sessions` must have been opened via [`open_sessions`] (or equivalent)
-/// for the **same** `trace` and `plan`; it is borrowed mutably so the same
-/// sessions — including their memoized service times — carry over to the
-/// next run. The report's cache counters cover only this run.
-///
-/// A request is **shed** if any channel's queue dropped its part;
-/// otherwise its latency is `max(channel completion) − arrival`.
-///
-/// Requests carry no deadlines here (the single-tenant surface); use
-/// [`simulate_tenant_sessions`] for deadline-tagged multi-tenant streams.
-///
-/// # Panics
-///
-/// Panics if `arrivals` is not nondecreasing, its length differs from the
-/// number of request batches in `trace`, or `sessions` does not hold one
-/// session per channel.
+/// [`simulate`] over untagged arrival cycles, untraced.
 pub fn simulate_sessions(
     name: &str,
     trace: &Trace,
@@ -382,94 +409,11 @@ pub fn simulate_sessions(
     cycles_per_sec: f64,
     sessions: &mut [Box<dyn ServiceSession>],
 ) -> ServeReport {
-    let requests: Vec<TenantRequest> = arrivals
-        .iter()
-        .map(|&arrival| TenantRequest {
-            arrival,
-            tenant: 0,
-            deadline: Cycle::MAX,
-            priority: 0,
-        })
-        .collect();
-    run_simulation(
-        name,
-        trace,
-        plan,
-        &requests,
-        None,
-        cfg,
-        cycles_per_sec,
-        sessions,
-        None,
-    )
+    let requests: Vec<_> = arrivals.iter().copied().map(TenantRequest::untagged).collect();
+    simulate(name, trace, plan, &requests, None, cfg, cycles_per_sec, sessions, None)
 }
 
-/// [`simulate_sessions`] with cross-layer tracing: identical simulation
-/// and report (byte-for-byte — tracing never perturbs pricing), but every
-/// event is also recorded into `obs` — request lifecycle spans, server
-/// batch spans, queue-depth gauges, and (unless disabled via
-/// [`ServeObs::set_dram_trace`]) per-dispatch DRAM command tracks.
-///
-/// `obs` must be freshly created ([`ServeObs::new`]); after the call,
-/// export the timeline with [`ServeObs::write_chrome_trace`] and the
-/// attribution summary with [`ServeObs::obs_report`].
-///
-/// # Panics
-///
-/// Same contract as [`simulate_sessions`], plus panics if `obs` already
-/// observed a simulation.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_sessions_obs(
-    name: &str,
-    trace: &Trace,
-    plan: &ChannelPlan,
-    arrivals: &[Cycle],
-    cfg: BatcherConfig,
-    cycles_per_sec: f64,
-    sessions: &mut [Box<dyn ServiceSession>],
-    obs: &mut ServeObs,
-) -> ServeReport {
-    let requests: Vec<TenantRequest> = arrivals
-        .iter()
-        .map(|&arrival| TenantRequest {
-            arrival,
-            tenant: 0,
-            deadline: Cycle::MAX,
-            priority: 0,
-        })
-        .collect();
-    run_simulation(
-        name,
-        trace,
-        plan,
-        &requests,
-        None,
-        cfg,
-        cycles_per_sec,
-        sessions,
-        Some(obs),
-    )
-}
-
-/// Runs the serving simulation over a deadline-tagged multi-tenant request
-/// stream (see [`TenantMix::requests`]): identical event loop and sharding
-/// as [`simulate_sessions`], but jobs carry tenant, priority, and absolute
-/// deadline into each channel's batcher — so
-/// [`QueuePolicy::Edf`](crate::batch::QueuePolicy::Edf),
-/// [`BatcherConfig::shed_expired`], and
-/// [`BatcherConfig::adaptive_linger`] all take effect — and the returned
-/// report carries one [`TenantReport`] per class of `mix`
-/// (`ServeReport::tenants`), in class order.
-///
-/// Per tenant, the counters partition exactly:
-/// `requests = completed + missed + queue_shed + deadline_shed`.
-///
-/// # Panics
-///
-/// Panics if `requests` is not sorted by arrival, its length differs from
-/// the number of request batches in `trace`, a request's tenant index is
-/// out of range for `mix`, or `sessions` does not hold one session per
-/// channel.
+/// [`simulate`] over a tenant-tagged request stream, untraced.
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_tenant_sessions(
     name: &str,
@@ -481,28 +425,10 @@ pub fn simulate_tenant_sessions(
     cycles_per_sec: f64,
     sessions: &mut [Box<dyn ServiceSession>],
 ) -> ServeReport {
-    run_simulation(
-        name,
-        trace,
-        plan,
-        requests,
-        Some(mix),
-        cfg,
-        cycles_per_sec,
-        sessions,
-        None,
-    )
+    simulate(name, trace, plan, requests, Some(mix), cfg, cycles_per_sec, sessions, None)
 }
 
-/// [`simulate_tenant_sessions`] with cross-layer tracing — the tenant
-/// counterpart of [`simulate_sessions_obs`]: one lane group per tenant
-/// class, request lifecycle spans labeled completed / late / queue-shed /
-/// deadline-shed, and the same channel-level and DRAM-level tracks.
-///
-/// # Panics
-///
-/// Same contract as [`simulate_tenant_sessions`], plus panics if `obs`
-/// already observed a simulation.
+/// [`simulate`] over a tenant-tagged request stream, traced into `obs`.
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_tenant_sessions_obs(
     name: &str,
@@ -515,78 +441,7 @@ pub fn simulate_tenant_sessions_obs(
     sessions: &mut [Box<dyn ServiceSession>],
     obs: &mut ServeObs,
 ) -> ServeReport {
-    run_simulation(
-        name,
-        trace,
-        plan,
-        requests,
-        Some(mix),
-        cfg,
-        cycles_per_sec,
-        sessions,
-        Some(obs),
-    )
-}
-
-/// One-shot convenience: opens fresh sessions via [`open_sessions`] and
-/// runs [`simulate_sessions`] once. Prefer holding the sessions yourself
-/// when running several loads over the same trace (sweeps, SLO searches) —
-/// reuse is where the per-session preparation and the memoized service
-/// times pay off.
-///
-/// # Panics
-///
-/// Panics if `arrivals` is not nondecreasing or its length differs from
-/// the number of request batches in `trace`.
-pub fn simulate<A, F>(
-    name: &str,
-    trace: &Trace,
-    plan: &ChannelPlan,
-    arrivals: &[Cycle],
-    cfg: BatcherConfig,
-    cycles_per_sec: f64,
-    make: F,
-) -> ServeReport
-where
-    A: EmbeddingAccelerator,
-    F: FnMut(usize, &Trace) -> A,
-{
-    let mut sessions = open_sessions(trace, plan, make);
-    simulate_sessions(name, trace, plan, arrivals, cfg, cycles_per_sec, &mut sessions)
-}
-
-/// One-shot convenience for the tenant-aware path: opens fresh sessions
-/// and runs [`simulate_tenant_sessions`] once.
-///
-/// # Panics
-///
-/// Same contract as [`simulate_tenant_sessions`].
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_tenants<A, F>(
-    name: &str,
-    trace: &Trace,
-    plan: &ChannelPlan,
-    requests: &[TenantRequest],
-    mix: &TenantMix,
-    cfg: BatcherConfig,
-    cycles_per_sec: f64,
-    make: F,
-) -> ServeReport
-where
-    A: EmbeddingAccelerator,
-    F: FnMut(usize, &Trace) -> A,
-{
-    let mut sessions = open_sessions(trace, plan, make);
-    simulate_tenant_sessions(
-        name,
-        trace,
-        plan,
-        requests,
-        mix,
-        cfg,
-        cycles_per_sec,
-        &mut sessions,
-    )
+    simulate(name, trace, plan, requests, Some(mix), cfg, cycles_per_sec, sessions, Some(obs))
 }
 
 /// Nearest-rank p50/p99/max over one channel's queue-depth transition
@@ -619,24 +474,7 @@ impl ServeReport {
         let mut shed_requests = 0u64;
         let mut makespan: Cycle = requests.last().map(|r| r.arrival).unwrap_or(0);
         for (i, req) in requests.iter().enumerate() {
-            // Merge the channel parts: done = max completion; a queue drop
-            // on any channel outranks a deadline drop on another.
-            let mut done: Option<Cycle> = Some(req.arrival);
-            let mut queue_shed = false;
-            let mut deadline_shed = false;
-            for o in outcomes {
-                match o.completions[i] {
-                    Some(c) => done = done.map(|d| d.max(c)),
-                    None => {
-                        done = None;
-                        if o.expired_flags[i] {
-                            deadline_shed = true;
-                        } else {
-                            queue_shed = true;
-                        }
-                    }
-                }
-            }
+            let (done, queue_shed) = merge_parts(i, req.arrival, outcomes);
             let tenant = tenants.get_mut(req.tenant);
             match done {
                 Some(d) => {
@@ -660,7 +498,6 @@ impl ServeReport {
                         if queue_shed {
                             t.queue_shed += 1;
                         } else {
-                            debug_assert!(deadline_shed);
                             t.deadline_shed += 1;
                         }
                     }
@@ -732,21 +569,20 @@ mod tests {
     use recross_nmp::cpu::CpuBaseline;
     use recross_workload::TraceGenerator;
 
-    fn serving_setup() -> (Trace, ChannelPlan, Vec<Cycle>, BatcherConfig, f64) {
+    fn serving_setup() -> (Trace, ChannelPlan, Vec<TenantRequest>, BatcherConfig, f64) {
         let dram = DramConfig::ddr5_4800();
         let trace = TraceGenerator::criteo_scaled(32, 200)
             .batch_size(1)
             .pooling(8)
             .batches(24)
-            .generate(13)
-;
+            .generate(13);
         let plan = ChannelPlan::balance_by_load(&trace, 2);
-        let arrivals = crate::arrival::ArrivalProcess::poisson(40_000.0).timestamps(
-            trace.batches.len(),
-            dram.cycles_per_sec(),
-            13,
-        );
-        (trace, plan, arrivals, BatcherConfig::default(), dram.cycles_per_sec())
+        let requests = crate::arrival::ArrivalProcess::poisson(40_000.0)
+            .timestamps(trace.batches.len(), dram.cycles_per_sec(), 13)
+            .into_iter()
+            .map(TenantRequest::untagged)
+            .collect();
+        (trace, plan, requests, BatcherConfig::default(), dram.cycles_per_sec())
     }
 
     /// The memoized service-time cache is an exact cache: the same seed
@@ -755,7 +591,7 @@ mod tests {
     /// comparison normalizes away after asserting it exactly).
     #[test]
     fn cache_on_and_off_reports_are_byte_identical() {
-        let (trace, plan, arrivals, cfg, cps) = serving_setup();
+        let (trace, plan, requests, cfg, cps) = serving_setup();
         let dram = DramConfig::ddr5_4800();
         let make = |_: usize, _: &Trace| CpuBaseline::new(dram.clone());
 
@@ -767,10 +603,9 @@ mod tests {
 
         // Two consecutive runs per variant: the second run is where the
         // cached sessions replay memoized service times.
-        let run =
-            |s: &mut Vec<Box<dyn ServiceSession>>| {
-                simulate_sessions("CPU", &trace, &plan, &arrivals, cfg, cps, s)
-            };
+        let run = |s: &mut Vec<Box<dyn ServiceSession>>| {
+            simulate("CPU", &trace, &plan, &requests, None, cfg, cps, s, None)
+        };
         let (a1, a2) = (run(&mut cached), run(&mut cached));
         let (b1, b2) = (run(&mut uncached), run(&mut uncached));
 
@@ -804,7 +639,7 @@ mod tests {
     /// session cache).
     #[test]
     fn capacity_one_memo_reports_are_byte_identical() {
-        let (trace, plan, arrivals, cfg, cps) = serving_setup();
+        let (trace, plan, requests, cfg, cps) = serving_setup();
         let dram = DramConfig::ddr5_4800();
         let make = |_: usize, _: &Trace| CpuBaseline::new(dram.clone());
 
@@ -814,10 +649,9 @@ mod tests {
             s.set_cache_capacity(1);
         }
 
-        let run =
-            |s: &mut Vec<Box<dyn ServiceSession>>| {
-                simulate_sessions("CPU", &trace, &plan, &arrivals, cfg, cps, s)
-            };
+        let run = |s: &mut Vec<Box<dyn ServiceSession>>| {
+            simulate("CPU", &trace, &plan, &requests, None, cfg, cps, s, None)
+        };
         // Two runs each: the second run exercises replay (hits for the
         // unbounded memo, evictions for the capacity-1 one).
         let (a1, a2) = (run(&mut unbounded), run(&mut unbounded));
@@ -837,27 +671,11 @@ mod tests {
         assert_eq!(t2n.to_json(), a2.to_json());
     }
 
-    /// The one-shot `simulate` wrapper and explicitly managed sessions
-    /// agree: the wrapper is just open-then-run.
-    #[test]
-    fn simulate_wrapper_matches_explicit_sessions() {
-        let (trace, plan, arrivals, cfg, cps) = serving_setup();
-        let dram = DramConfig::ddr5_4800();
-        let wrapped = simulate("CPU", &trace, &plan, &arrivals, cfg, cps, |_, _| {
-            CpuBaseline::new(dram.clone())
-        });
-        let mut sessions =
-            open_sessions(&trace, &plan, |_, _| CpuBaseline::new(dram.clone()));
-        let explicit =
-            simulate_sessions("CPU", &trace, &plan, &arrivals, cfg, cps, &mut sessions);
-        assert_eq!(wrapped.to_json(), explicit.to_json());
-    }
-
     #[test]
     #[should_panic(expected = "one session per channel")]
     fn session_count_validated() {
-        let (trace, plan, arrivals, cfg, cps) = serving_setup();
-        simulate_sessions("CPU", &trace, &plan, &arrivals, cfg, cps, &mut []);
+        let (trace, plan, requests, cfg, cps) = serving_setup();
+        simulate("CPU", &trace, &plan, &requests, None, cfg, cps, &mut [], None);
     }
 
     fn tenant_setup(
@@ -896,9 +714,9 @@ mod tests {
                 shed_expired: policy == QueuePolicy::Edf,
                 adaptive_linger: policy == QueuePolicy::Edf,
             };
-            let report = simulate_tenants(
-                "CPU", &trace, &plan, &requests, &mix, cfg, cps,
-                |_: usize, _: &Trace| CpuBaseline::new(dram.clone()),
+            let mut sessions = open_sessions(&trace, &plan, |_, _| CpuBaseline::new(dram.clone()));
+            let report = simulate(
+                "CPU", &trace, &plan, &requests, Some(&mix), cfg, cps, &mut sessions, None,
             );
             assert_eq!(report.tenants.len(), 2);
             let mut total = 0u64;
@@ -936,9 +754,9 @@ mod tests {
                 shed_expired: shed,
                 adaptive_linger: shed,
             };
-            simulate_tenants(
-                "CPU", &trace, &plan, &requests, &mix, cfg, cps,
-                |_: usize, _: &Trace| CpuBaseline::new(dram.clone()),
+            let mut sessions = open_sessions(&trace, &plan, |_, _| CpuBaseline::new(dram.clone()));
+            simulate(
+                "CPU", &trace, &plan, &requests, Some(&mix), cfg, cps, &mut sessions, None,
             )
         };
         let fifo = run(QueuePolicy::Fifo, false);
@@ -985,15 +803,23 @@ mod tests {
         let make = |_: usize, _: &Trace| CpuBaseline::new(dram.clone());
 
         let mut plain_sessions = open_sessions(&trace, &plan, make);
-        let plain = simulate_tenant_sessions(
-            "CPU", &trace, &plan, &requests, &mix, cfg, cps, &mut plain_sessions,
+        let plain = simulate(
+            "CPU", &trace, &plan, &requests, Some(&mix), cfg, cps, &mut plain_sessions, None,
         );
 
         let traced_run = || {
             let mut sessions = open_sessions(&trace, &plan, make);
             let mut obs = ServeObs::new(dram.clone());
-            let report = simulate_tenant_sessions_obs(
-                "CPU", &trace, &plan, &requests, &mix, cfg, cps, &mut sessions, &mut obs,
+            let report = simulate(
+                "CPU",
+                &trace,
+                &plan,
+                &requests,
+                Some(&mix),
+                cfg,
+                cps,
+                &mut sessions,
+                Some(&mut obs),
             );
             (report, obs)
         };
@@ -1075,8 +901,16 @@ mod tests {
         let mut obs = ServeObs::new(dram.clone());
         obs.stream_to(out.clone());
         obs.enable_agg();
-        let report = simulate_tenant_sessions_obs(
-            "CPU", &trace, &plan, &requests, &mix, cfg, cps, &mut sessions, &mut obs,
+        let report = simulate(
+            "CPU",
+            &trace,
+            &plan,
+            &requests,
+            Some(&mix),
+            cfg,
+            cps,
+            &mut sessions,
+            Some(&mut obs),
         );
         obs.finish().unwrap();
 
@@ -1121,19 +955,20 @@ mod tests {
     /// report and records no bank tracks or attribution.
     #[test]
     fn timeline_only_tracing_matches_untraced_report() {
-        let (trace, plan, arrivals, cfg, cps) = serving_setup();
+        let (trace, plan, requests, cfg, cps) = serving_setup();
         let dram = DramConfig::ddr5_4800();
         let make = |_: usize, _: &Trace| CpuBaseline::new(dram.clone());
 
         let mut plain_sessions = open_sessions(&trace, &plan, make);
-        let plain =
-            simulate_sessions("CPU", &trace, &plan, &arrivals, cfg, cps, &mut plain_sessions);
+        let plain = simulate(
+            "CPU", &trace, &plan, &requests, None, cfg, cps, &mut plain_sessions, None,
+        );
 
         let mut sessions = open_sessions(&trace, &plan, make);
         let mut obs = ServeObs::new(dram.clone());
         obs.set_dram_trace(false);
-        let traced = simulate_sessions_obs(
-            "CPU", &trace, &plan, &arrivals, cfg, cps, &mut sessions, &mut obs,
+        let traced = simulate(
+            "CPU", &trace, &plan, &requests, None, cfg, cps, &mut sessions, Some(&mut obs),
         );
         assert_eq!(traced.to_json(), plain.to_json());
         assert_eq!(obs.lifecycle_totals().spans, traced.requests);

@@ -4,7 +4,7 @@
 //! is the tail latency at this offered load" but "what is the highest
 //! offered load whose tail latency still meets the SLO". [`search`]
 //! answers it with a deterministic bisection over offered QPS: each probe
-//! runs a full serving simulation ([`crate::sim::simulate_sessions`] via
+//! runs a full serving simulation ([`crate::sim::simulate`] via
 //! the caller-supplied closure), a rate **meets** the SLO when the run
 //! shed nothing and its p99 latency is within the bound, and the bracket
 //! halves a fixed number of times — so the same seed converges to the
@@ -24,7 +24,9 @@
 
 use recross_nmp::session::SessionStats;
 
-use crate::report::{fmt_f64, json_string, ServeReport};
+use recross_obs::{fmt_f64, json_string};
+
+use crate::report::ServeReport;
 
 /// One evaluated rate of an SLO search.
 #[derive(Debug, Clone, PartialEq)]
@@ -358,7 +360,7 @@ where
 /// mix meets its own deadline, by the same bisection as [`search`].
 ///
 /// `probe` runs one multi-tenant serving simulation
-/// ([`crate::sim::simulate_tenant_sessions`]) at the given aggregate rate
+/// ([`crate::sim::simulate`] with a tenant mix) at the given aggregate rate
 /// and returns its [`ServeReport`] — which must carry a tenant section. A
 /// rate meets the SLO when every tenant shed nothing (neither tail-drop
 /// nor deadline shedding) and kept the p99 latency of its finished

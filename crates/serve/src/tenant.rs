@@ -178,6 +178,19 @@ pub struct TenantRequest {
     pub priority: u8,
 }
 
+impl TenantRequest {
+    /// An untagged request of the single-class case: tenant 0, no
+    /// deadline, priority 0.
+    pub fn untagged(arrival: Cycle) -> Self {
+        Self {
+            arrival,
+            tenant: 0,
+            deadline: Cycle::MAX,
+            priority: 0,
+        }
+    }
+}
+
 /// A validated set of [`TenantClass`]es sharing one serving system.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantMix {

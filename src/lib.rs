@@ -47,17 +47,22 @@ pub use recross_workload as workload;
 /// // 3. Serve the trace open-loop: one batching queue + session per
 /// //    memory channel, Poisson arrivals, deterministic in the seed.
 /// let plan = ChannelPlan::balance_by_load(&trace, 2);
-/// let arrivals = ArrivalProcess::poisson(50_000.0)
-///     .timestamps(trace.batches.len(), dram.cycles_per_sec(), 42);
+/// let requests: Vec<TenantRequest> = ArrivalProcess::poisson(50_000.0)
+///     .timestamps(trace.batches.len(), dram.cycles_per_sec(), 42)
+///     .into_iter()
+///     .map(TenantRequest::untagged)
+///     .collect();
 /// let mut sessions = open_sessions(&trace, &plan, |_, _| CpuBaseline::new(dram.clone()));
-/// let report: ServeReport = simulate_sessions(
+/// let report: ServeReport = simulate(
 ///     "CPU",
 ///     &trace,
 ///     &plan,
-///     &arrivals,
+///     &requests,
+///     None,
 ///     BatcherConfig::default(),
 ///     dram.cycles_per_sec(),
 ///     &mut sessions,
+///     None,
 /// );
 /// assert_eq!(report.requests, 16);
 /// assert!(report.to_json().contains("\"service_cache\""));
@@ -69,11 +74,10 @@ pub mod prelude {
         RecNmp, RunReport, ServiceSession, SessionStats, TensorDimm, Trim,
     };
     pub use recross_serve::{
-        open_sessions, simulate, simulate_sessions, simulate_tenant_sessions, simulate_tenants,
-        slo_search, slo_search_tenants, ArrivalProcess, Batcher, BatcherConfig, LatencyHistogram,
-        Priority, QueuePolicy, ServeReport, SloProbe, SloReport, TenantClass, TenantMix,
-        TenantProcess, TenantReport, TenantRequest, TenantSloProbe, TenantSloReport,
-        TenantVerdict,
+        open_sessions, simulate, slo_search, slo_search_tenants, ArrivalProcess, Batcher,
+        BatcherConfig, LatencyHistogram, Priority, QueuePolicy, ServeReport, SloProbe,
+        SloReport, TenantClass, TenantMix, TenantProcess, TenantReport, TenantRequest,
+        TenantSloProbe, TenantSloReport, TenantVerdict,
     };
     pub use recross_workload::{Batch, EmbeddingTableSpec, Trace, TraceGenerator};
     pub use recross::{empirical_profiles, ReCross, ReCrossConfig};

@@ -3,6 +3,8 @@
 //! factor. Runs on a 1/100-scale trace so CI stays fast; EXPERIMENTS.md
 //! records the full-scale numbers.
 
+use std::sync::OnceLock;
+
 use recross_repro::dram::DramConfig;
 use recross_repro::nmp::accel::{EmbeddingAccelerator, RunReport};
 use recross_repro::nmp::{AccessProfile, CpuBaseline, RecNmp, TensorDimm, Trim};
@@ -18,7 +20,14 @@ fn generator() -> TraceGenerator {
         .batches(2)
 }
 
-fn run_all() -> Vec<RunReport> {
+/// The six architectures' runs on the shared trace, computed once and
+/// reused by every test that reads them.
+fn run_all() -> &'static [RunReport] {
+    static RUNS: OnceLock<Vec<RunReport>> = OnceLock::new();
+    RUNS.get_or_init(run_all_uncached)
+}
+
+fn run_all_uncached() -> Vec<RunReport> {
     let g = generator();
     let trace = g.generate(0xD17A);
     let dram = DramConfig::ddr5_4800();
