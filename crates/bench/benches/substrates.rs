@@ -5,7 +5,7 @@
 use recross::config::ReCrossConfig;
 use recross::engine::ReCross;
 use recross::profile::analytic_profiles;
-use recross::{bandwidth_aware_partition, RegionBandwidth, RegionMap};
+use recross::{bandwidth_aware_partition, Region, RegionBandwidth, RegionMap};
 use recross_bench::timer::BenchGroup;
 use recross_bench::workloads::{dram, generator, standard_trace, Scale};
 use recross_dram::controller::{BusScope, Controller, ReadRequest, SchedulePolicy};
@@ -42,6 +42,15 @@ fn controller_requests(n: u64, salp: bool, dest: BusScope) -> Vec<ReadRequest> {
 
 fn bench_controller() {
     let mut g = BenchGroup::new("dram_controller");
+    let mut run = |name: &str, reqs: Vec<ReadRequest>, policy| {
+        g.bench(name, || {
+            let mut ctl = Controller::new(dram(), policy);
+            for r in &reqs {
+                ctl.enqueue(*r);
+            }
+            ctl.run().len()
+        });
+    };
     for (name, dest, salp, policy) in [
         (
             "host_frfcfs",
@@ -58,15 +67,29 @@ fn bench_controller() {
             SchedulePolicy::LocalityAware,
         ),
     ] {
-        let reqs = controller_requests(2_000, salp, dest);
-        g.bench(name, || {
-            let mut ctl = Controller::new(dram(), policy);
-            for r in &reqs {
-                ctl.enqueue(*r);
-            }
-            ctl.run().len()
-        });
+        run(name, controller_requests(2_000, salp, dest), policy);
     }
+    // ReCross's three regions in one controller, as it runs them: rank-,
+    // group- and SALP bank-scoped reads by each bank's region. The only
+    // case where group- and rank-wide invalidations meet the SALP banks'
+    // overlap candidates.
+    let map = RegionMap::new(&ReCrossConfig::default());
+    let mixed = controller_requests(2_000, false, BusScope::Rank)
+        .into_iter()
+        .map(|r| match map.region_of(&r.addr) {
+            Region::R => r,
+            Region::G => ReadRequest {
+                dest: BusScope::BankGroup,
+                ..r
+            },
+            Region::B => ReadRequest {
+                dest: BusScope::Bank,
+                salp: true,
+                ..r
+            },
+        })
+        .collect();
+    run("mixed_rgb_las", mixed, SchedulePolicy::LocalityAware);
 }
 
 fn bench_lp() {

@@ -21,6 +21,15 @@
 //! bus (paper Figure 6). Requests at different levels coexist in one
 //! controller and share the ACT/tFAW/tCCD windows — this is what lets
 //! ReCross run its three regions concurrently in the same ranks.
+//!
+//! The pick is incremental. Each bank caches a *bank-local* part — the
+//! policy pick, its next command and, on SALP banks, the window entries
+//! whose `ACT_SA` may overlap it — rebuilt only when a command hits the
+//! bank or its queue changes, and the *estimates* of those candidates,
+//! re-evaluated when [`TimingState::commit`] reports a change to the bank's
+//! group or rank ([`CommitScope`]); a REF rebuilds its whole rank. Each
+//! step scans the cached estimates: the earliest wins, the lowest bank on
+//! ties, so schedules match a full rescan exactly.
 
 use std::collections::VecDeque;
 
@@ -29,7 +38,7 @@ use crate::bus::BusSet;
 use crate::command::{Command, CommandKind, DataScope, IssuedCommand};
 use crate::config::{Cycle, DramConfig};
 use crate::energy::EnergyCounters;
-use crate::timing::TimingState;
+use crate::timing::{CommitScope, TimingState};
 
 /// Destination of a read's data — how far up the DRAM datapath it travels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -187,15 +196,32 @@ struct ActiveRequest {
     last_data: Cycle,
 }
 
-/// The next schedulable command for a request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Step {
-    Pre,
-    Act,
-    ActSa,
-    SelSa,
-    Rd,
-    Wr,
+/// How much of a bank's cached pick is out of date.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+enum Stale {
+    /// The cached candidate is current.
+    #[default]
+    Fresh,
+    /// The bank-local part holds; the estimates must be re-evaluated.
+    Estimate,
+    /// The bank-local part must be rebuilt.
+    Pick,
+}
+
+/// A bank's cached scheduling candidate (see the module docs).
+#[derive(Debug, Clone, Default)]
+struct BankPick {
+    /// What must be recomputed before the next pick reads this cache.
+    stale: Stale,
+    /// Bank-local: the policy pick's queue index and its next command.
+    primary: Option<(usize, CommandKind)>,
+    /// Bank-local: window entries, in window order, whose next command is
+    /// an `ACT_SA` that would not thrash a local row buffer.
+    overlaps: Vec<usize>,
+    /// The candidate `(queue index, command, estimate)`: the policy pick
+    /// unless an overlap entry can issue strictly earlier (the first such
+    /// entry in window order on ties).
+    best: Option<(usize, CommandKind, Cycle)>,
 }
 
 /// The controller. Drives one channel.
@@ -208,6 +234,8 @@ pub struct Controller {
     rank_bus: BusSet,
     channel_bus: BusSet,
     queues: Vec<VecDeque<ActiveRequest>>, // per flat bank, arrival order
+    /// Per flat bank: the cached candidate.
+    picks: Vec<BankPick>,
     /// SALP mode each bank has been used in (a bank either has SALP
     /// support or it does not — mixing modes is a caller bug).
     bank_salp_mode: Vec<Option<bool>>,
@@ -241,6 +269,7 @@ impl Controller {
             rank_bus: BusSet::new(topo.ranks as usize),
             channel_bus: BusSet::new(1),
             queues: vec![VecDeque::new(); banks],
+            picks: vec![BankPick::default(); banks],
             bank_salp_mode: vec![None; banks],
             bank_window: 16,
             global_window: None,
@@ -347,6 +376,7 @@ impl Controller {
             was_hit: false,
             last_data: 0,
         });
+        self.picks[flat].stale = Stale::Pick;
     }
 
     /// Runs until all queues drain; returns completions in finish order.
@@ -355,12 +385,12 @@ impl Controller {
     /// inline: before each scheduled command, every rank whose refresh is
     /// due by that command's issue estimate gets a REF first.
     pub fn run(&mut self) -> Vec<Completion> {
-        while let Some((bank, idx, step, est)) = self.pick_next() {
+        while let Some((bank, idx, kind, est)) = self.pick_next() {
             if self.refresh_due_ranks(est) {
-                // Bank states changed under the picked step; re-pick.
+                // Bank states changed under the picked command; re-pick.
                 continue;
             }
-            self.perform(bank, idx, step);
+            self.perform(bank, idx, kind);
         }
         let mut done = std::mem::take(&mut self.completions);
         done.sort_by_key(|c| c.done_at);
@@ -432,43 +462,44 @@ impl Controller {
     }
 
     /// Chooses the globally earliest next command:
-    /// `(bank, index, step, estimated cycle)`.
-    fn pick_next(&self) -> Option<(usize, usize, Step, Cycle)> {
-        let mut best: Option<(Cycle, usize, usize, Step)> = None;
-        for (bank, q) in self.queues.iter().enumerate() {
-            if q.is_empty() {
-                continue;
+    /// `(bank, index, command, estimated cycle)`. Brings every stale cached
+    /// pick up to date first.
+    fn pick_next(&mut self) -> Option<(usize, usize, CommandKind, Cycle)> {
+        let mut best: Option<(Cycle, usize, usize, CommandKind)> = None;
+        for bank in 0..self.picks.len() {
+            match self.picks[bank].stale {
+                Stale::Fresh => {}
+                Stale::Estimate => self.refresh_estimate(bank),
+                Stale::Pick => self.rebuild_pick(bank),
             }
-            let Some((idx, step, est)) = self.bank_candidate(q) else {
+            let Some((idx, kind, est)) = self.picks[bank].best else {
                 continue;
             };
             if best.is_none_or(|(b, _, _, _)| est < b) {
-                best = Some((est, bank, idx, step));
+                best = Some((est, bank, idx, kind));
             }
         }
-        best.map(|(est, bank, idx, step)| (bank, idx, step, est))
+        best.map(|(est, bank, idx, kind)| (bank, idx, kind, est))
     }
 
-    /// The bank's next candidate: the policy pick, plus (for SALP banks) an
-    /// overlapping activation from another queued request if it can issue
-    /// earlier.
-    fn bank_candidate(&self, q: &VecDeque<ActiveRequest>) -> Option<(usize, Step, Cycle)> {
+    /// Rebuilds a bank's bank-local pick: the policy pick, plus (for SALP
+    /// banks) every other window entry whose pending activation may overlap
+    /// it — but never one that would thrash a local row buffer another
+    /// queued request still needs (same-subarray conflicts re-activate
+    /// endlessly). Then re-evaluates the estimates.
+    fn rebuild_pick(&mut self, bank: usize) {
+        let mut pick = std::mem::take(&mut self.picks[bank]);
+        pick.overlaps.clear();
+        let q = &self.queues[bank];
         let window = self.bank_window.min(q.len());
-        // Policy pick among requests in the window.
-        let primary = self.select_in_window(q, window)?;
-        let (p_step, p_est) = self.next_step(&q[primary]);
-        let mut best = (primary, p_step, p_est);
-        // Overlap: a pending SALP activation (different request) that can
-        // issue strictly earlier than the policy pick's step — but never
-        // one that would thrash a local row buffer another queued request
-        // still needs (same-subarray conflicts re-activate endlessly).
+        pick.primary = self
+            .select_in_window(q, window)
+            .map(|i| (i, self.next_command(&q[i])));
+        // An empty queue has an empty window, so no overlap entries either.
+        let primary = pick.primary.map(|(i, _)| i);
         let topo = &self.cfg.topology;
         'outer: for (i, a) in q.iter().enumerate().take(window) {
-            if i == primary || !a.req.salp {
-                continue;
-            }
-            let (step, est) = self.next_step(a);
-            if step != Step::ActSa || est >= best.2 {
+            if Some(i) == primary || !a.req.salp || self.next_command(a) != CommandKind::ActSa {
                 continue;
             }
             let sa = a.req.addr.subarray(topo);
@@ -476,22 +507,40 @@ impl Controller {
                 if j == i || !other.req.salp {
                     continue;
                 }
-                let other_sa = other.req.addr.subarray(topo);
-                if other_sa != sa {
+                if other.req.addr.subarray(topo) != sa {
                     continue;
                 }
                 // The buffer currently holds a row some request wants, or
                 // an older request needs a different row of this subarray
                 // first: leave it alone.
-                let useful =
-                    self.timing.local_row(&other.req.addr, other_sa) == Some(other.req.addr.row);
-                if useful || (j < i && other.req.addr.row != a.req.addr.row) {
+                if self.is_row_hit(&other.req) || (j < i && other.req.addr.row != a.req.addr.row) {
                     continue 'outer;
                 }
             }
-            best = (i, step, est);
+            pick.overlaps.push(i);
         }
-        Some(best)
+        self.picks[bank] = pick;
+        self.refresh_estimate(bank);
+    }
+
+    /// Re-evaluates a bank's candidate from its bank-local pick: an overlap
+    /// entry replaces the policy pick only if it can issue strictly earlier.
+    fn refresh_estimate(&mut self, bank: usize) {
+        let pick = &self.picks[bank];
+        let q = &self.queues[bank];
+        let best = pick.primary.map(|(primary, kind)| {
+            let mut best = (primary, kind, self.estimate(&q[primary], kind));
+            for &i in &pick.overlaps {
+                let est = self.estimate(&q[i], CommandKind::ActSa);
+                if est < best.2 {
+                    best = (i, CommandKind::ActSa, est);
+                }
+            }
+            best
+        });
+        let pick = &mut self.picks[bank];
+        pick.best = best;
+        pick.stale = Stale::Fresh;
     }
 
     /// Applies the scheduling policy within one bank window.
@@ -512,24 +561,17 @@ impl Controller {
                 // plain open-row hit for non-SALP requests).
                 if let Some((i, _)) = in_window().find(|(_, a)| {
                     let r = &a.req;
-                    if r.salp {
-                        let sa = r.addr.subarray(topo);
-                        self.timing.selected_subarray(&r.addr) == Some(sa)
-                            && self.timing.local_row(&r.addr, sa) == Some(r.addr.row)
-                    } else {
-                        self.timing.open_row(&r.addr) == Some(r.addr.row)
-                    }
+                    self.is_row_hit(r)
+                        && (!r.salp
+                            || self.timing.selected_subarray(&r.addr)
+                                == Some(r.addr.subarray(topo)))
                 }) {
                     return Some(i);
                 }
                 // Priority 2: hit in any activated local row buffer.
-                if let Some((i, _)) = in_window().find(|(_, a)| {
-                    a.req.salp
-                        && self
-                            .timing
-                            .local_row(&a.req.addr, a.req.addr.subarray(topo))
-                            == Some(a.req.addr.row)
-                }) {
+                if let Some((i, _)) =
+                    in_window().find(|(_, a)| a.req.salp && self.is_row_hit(&a.req))
+                {
                     return Some(i);
                 }
                 // Priority 3: request in a different subarray than the
@@ -558,160 +600,102 @@ impl Controller {
         }
     }
 
-    /// The next command a request needs, with its earliest issue estimate.
-    fn next_step(&self, a: &ActiveRequest) -> (Step, Cycle) {
-        let topo = &self.cfg.topology;
+    /// The next command a request needs. Bank-local: it depends only on the
+    /// bank's row and subarray state.
+    fn next_command(&self, a: &ActiveRequest) -> CommandKind {
         let r = &a.req;
-        let (step, kind) = if r.salp {
-            let sa = r.addr.subarray(topo);
+        if r.salp {
+            let sa = r.addr.subarray(&self.cfg.topology);
             if self.timing.local_row(&r.addr, sa) != Some(r.addr.row) {
-                (Step::ActSa, CommandKind::ActSa)
+                CommandKind::ActSa
             } else if self.timing.selected_subarray(&r.addr) != Some(sa) {
-                (Step::SelSa, CommandKind::SelSa)
+                CommandKind::SelSa
             } else {
-                (Step::Rd, CommandKind::Rd)
+                CommandKind::Rd
             }
         } else {
             match self.timing.open_row(&r.addr) {
-                Some(row) if row == r.addr.row => {
-                    if r.write {
-                        (Step::Wr, CommandKind::Wr)
-                    } else {
-                        (Step::Rd, CommandKind::Rd)
-                    }
-                }
-                Some(_) => (Step::Pre, CommandKind::Pre),
-                None => (Step::Act, CommandKind::Act),
+                Some(row) if row == r.addr.row && r.write => CommandKind::Wr,
+                Some(row) if row == r.addr.row => CommandKind::Rd,
+                Some(_) => CommandKind::Pre,
+                None => CommandKind::Act,
             }
-        };
+        }
+    }
+
+    /// Earliest issue estimate of `kind` for a request.
+    fn estimate(&self, a: &ActiveRequest, kind: CommandKind) -> Cycle {
+        let r = &a.req;
         let mut addr = r.addr;
-        if matches!(step, Step::Rd | Step::Wr) {
-            addr.col_byte += a.bursts_done * topo.burst_bytes;
+        if matches!(kind, CommandKind::Rd | CommandKind::Wr) {
+            addr.col_byte += a.bursts_done * self.cfg.topology.burst_bytes;
         }
         let cmd = Command {
             kind,
             addr,
             data_scope: data_scope_of(r.dest),
         };
-        let est = self
-            .timing
+        self.timing
             .earliest(&cmd)
             .unwrap_or(Cycle::MAX / 2)
-            .max(r.ready_at);
-        (step, est)
+            .max(r.ready_at)
     }
 
-    /// Issues the chosen step; pops the request if it completed.
-    fn perform(&mut self, bank: usize, idx: usize, step: Step) {
+    /// Issues the chosen command; pops the request if it completed.
+    fn perform(&mut self, bank: usize, idx: usize, kind: CommandKind) {
         let topo = self.cfg.topology;
-        let timing = self.cfg.timing;
         let a = self.queues[bank][idx];
         let r = a.req;
-        match step {
-            Step::Pre => {
-                self.issue(CommandKind::Pre, r.addr, r.ready_at, data_scope_of(r.dest));
-            }
-            Step::Act => {
-                self.issue(CommandKind::Act, r.addr, r.ready_at, data_scope_of(r.dest));
-                if !a.classified {
+        let scope = data_scope_of(r.dest);
+        let cas = match kind {
+            CommandKind::Rd => self.cfg.timing.t_cl,
+            CommandKind::Wr => self.cfg.timing.t_cwl,
+            _ => {
+                // PRE / ACT / ACT_SA / SEL_SA: a first activation makes the
+                // request a row miss.
+                self.issue(kind, r.addr, r.ready_at, scope);
+                if kind.is_activate() && !a.classified {
                     self.stats.row_misses += 1;
                     self.queues[bank][idx].classified = true;
                 }
+                return;
             }
-            Step::ActSa => {
-                self.issue(
-                    CommandKind::ActSa,
-                    r.addr,
-                    r.ready_at,
-                    data_scope_of(r.dest),
-                );
-                if !a.classified {
-                    self.stats.row_misses += 1;
-                    self.queues[bank][idx].classified = true;
-                }
+        };
+        let mut addr = r.addr;
+        addr.col_byte += a.bursts_done * topo.burst_bytes;
+        let at = self.issue(kind, addr, r.ready_at, scope);
+        let data_end = self.reserve_data_path(&addr, r.dest, at + cas);
+        let bits = u64::from(topo.burst_bytes) * 8;
+        self.stats.energy.rd_wr_bits += bits;
+        if matches!(r.dest, BusScope::Channel) {
+            self.stats.energy.io_bits += bits;
+        }
+        self.stats.finish = self.stats.finish.max(data_end);
+        let entry = &mut self.queues[bank][idx];
+        if !entry.classified {
+            // First step is a column access → the request was a row hit.
+            self.stats.row_hits += 1;
+            entry.classified = true;
+            entry.was_hit = true;
+        }
+        entry.bursts_done += 1;
+        entry.last_data = entry.last_data.max(data_end);
+        if entry.bursts_done == r.bursts {
+            let done_at = entry.last_data;
+            self.completions.push(Completion {
+                id: r.id,
+                done_at,
+                row_hit: entry.was_hit,
+            });
+            self.queues[bank].remove(idx);
+            if r.auto_precharge && self.timing.open_row(&r.addr).is_some() {
+                self.issue(CommandKind::Pre, r.addr, r.ready_at, scope);
             }
-            Step::SelSa => {
-                self.issue(
-                    CommandKind::SelSa,
-                    r.addr,
-                    r.ready_at,
-                    data_scope_of(r.dest),
-                );
-            }
-            Step::Wr => {
-                let mut addr = r.addr;
-                addr.col_byte += a.bursts_done * topo.burst_bytes;
-                let wr_at = self.issue(CommandKind::Wr, addr, r.ready_at, data_scope_of(r.dest));
-                let data_end = self.reserve_data_path(&addr, r.dest, wr_at + timing.t_cwl);
-                let bits = u64::from(topo.burst_bytes) * 8;
-                self.stats.energy.rd_wr_bits += bits;
-                if matches!(r.dest, BusScope::Channel) {
-                    self.stats.energy.io_bits += bits;
-                }
-                self.stats.finish = self.stats.finish.max(data_end);
-                let entry = &mut self.queues[bank][idx];
-                if !entry.classified {
-                    self.stats.row_hits += 1;
-                    entry.classified = true;
-                    entry.was_hit = true;
-                }
-                entry.bursts_done += 1;
-                entry.last_data = entry.last_data.max(data_end);
-                if entry.bursts_done == r.bursts {
-                    let done_at = entry.last_data;
-                    self.completions.push(Completion {
-                        id: r.id,
-                        done_at,
-                        row_hit: entry.was_hit,
-                    });
-                    self.queues[bank].remove(idx);
-                    if r.auto_precharge && self.timing.open_row(&r.addr).is_some() {
-                        self.issue(CommandKind::Pre, r.addr, r.ready_at, data_scope_of(r.dest));
-                    }
-                    self.outstanding -= 1;
-                    if let Some(next) = self.pending.pop_front() {
-                        self.admit(next, done_at);
-                    }
-                }
-            }
-            Step::Rd => {
-                let mut addr = r.addr;
-                addr.col_byte += a.bursts_done * topo.burst_bytes;
-                let rd_at = self.issue(CommandKind::Rd, addr, r.ready_at, data_scope_of(r.dest));
-                let data_end = self.reserve_data_path(&addr, r.dest, rd_at + timing.t_cl);
-                let bits = u64::from(topo.burst_bytes) * 8;
-                self.stats.energy.rd_wr_bits += bits;
-                if matches!(r.dest, BusScope::Channel) {
-                    self.stats.energy.io_bits += bits;
-                }
-                self.stats.finish = self.stats.finish.max(data_end);
-                let entry = &mut self.queues[bank][idx];
-                if !entry.classified {
-                    // First step is a read → the request was a row hit.
-                    self.stats.row_hits += 1;
-                    entry.classified = true;
-                    entry.was_hit = true;
-                }
-                entry.bursts_done += 1;
-                entry.last_data = entry.last_data.max(data_end);
-                if entry.bursts_done == r.bursts {
-                    let done_at = entry.last_data;
-                    self.completions.push(Completion {
-                        id: r.id,
-                        done_at,
-                        row_hit: entry.was_hit,
-                    });
-                    self.queues[bank].remove(idx);
-                    if r.auto_precharge && self.timing.open_row(&r.addr).is_some() {
-                        self.issue(CommandKind::Pre, r.addr, r.ready_at, data_scope_of(r.dest));
-                    }
-                    self.outstanding -= 1;
-                    // A freed global-queue slot admits the next pending
-                    // request, no earlier than this completion.
-                    if let Some(next) = self.pending.pop_front() {
-                        self.admit(next, done_at);
-                    }
-                }
+            self.outstanding -= 1;
+            // A freed global-queue slot admits the next pending request, no
+            // earlier than this completion.
+            if let Some(next) = self.pending.pop_front() {
+                self.admit(next, done_at);
             }
         }
     }
@@ -776,7 +760,8 @@ impl Controller {
             .earliest(&cmd)
             .unwrap_or_else(|e| panic!("illegal {kind} at {addr}: {e}"))
             .max(not_before);
-        self.timing.commit(&cmd, at);
+        let scope = self.timing.commit(&cmd, at);
+        self.invalidate(&addr, scope);
         if kind.is_activate() {
             self.stats.energy.activations += 1;
         }
@@ -798,6 +783,29 @@ impl Controller {
             });
         }
         at
+    }
+
+    /// Marks the cached picks a commit at `addr` made stale: the addressed
+    /// bank's pick always, plus the estimates (or, after a REF, the picks)
+    /// of every bank sharing the changed group or rank state.
+    fn invalidate(&mut self, addr: &PhysAddr, scope: CommitScope) {
+        let topo = &self.cfg.topology;
+        let bank = addr.flat_bank(topo) as usize;
+        // A group's (rank's) banks are contiguous, aligned flat bank ids.
+        let span = match scope {
+            CommitScope::Bank => 1,
+            CommitScope::BankGroup => topo.banks_per_group as usize,
+            CommitScope::Rank | CommitScope::Refresh => topo.banks_per_rank() as usize,
+        };
+        let stale = match scope {
+            CommitScope::Refresh => Stale::Pick,
+            _ => Stale::Estimate,
+        };
+        let first = bank - bank % span;
+        for pick in &mut self.picks[first..first + span] {
+            pick.stale = pick.stale.max(stale);
+        }
+        self.picks[bank].stale = Stale::Pick;
     }
 }
 

@@ -54,5 +54,5 @@ pub use command::{Command, CommandKind, DataScope, IssuedCommand};
 pub use config::{Cycle, DramConfig, EnergyParams, TimingParams, Topology};
 pub use controller::{BusScope, Completion, Controller, ReadRequest, RunStats, SchedulePolicy};
 pub use energy::{EnergyBreakdown, EnergyCounters};
-pub use timing::{TimingError, TimingState};
+pub use timing::{CommitScope, TimingError, TimingState};
 pub use traceviz::{dram_tracks, record_commands, DramTracks};

@@ -68,6 +68,29 @@ struct RankState {
     recent_acts: Vec<Cycle>,
 }
 
+/// The widest state a committed command changed, reported by
+/// [`TimingState::commit`].
+///
+/// [`TimingState::earliest`] of a command reads its own bank's state, its
+/// bank group's and its rank's, so the scope bounds which commands' issue
+/// estimates a commit can move: every command of the addressed bank, plus
+/// every command of the group or rank the scope names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CommitScope {
+    /// Only the addressed bank's state (PRE, SEL_SA, bank-PE reads and
+    /// writes).
+    Bank,
+    /// The bank and its bank group's column windows (bank-group-PE reads
+    /// and writes).
+    BankGroup,
+    /// The bank, its group and its rank: activation windows (ACT, ACT_SA)
+    /// or the rank I/O cadence (rank-PE and host-bound reads and writes).
+    Rank,
+    /// The rank's shared state *and* the state of every bank in it (REF
+    /// closes every row of the rank).
+    Refresh,
+}
+
 /// Reason a command can never issue (as opposed to "not yet").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TimingError {
@@ -280,14 +303,15 @@ impl TimingState {
         ready
     }
 
-    /// Records `cmd` as issued at `cycle`.
+    /// Records `cmd` as issued at `cycle` and returns the widest state scope
+    /// it changed.
     ///
     /// # Panics
     ///
     /// Panics (in debug builds) if `cycle` is earlier than
     /// [`TimingState::earliest`] allows — controllers must consult
     /// `earliest` first.
-    pub fn commit(&mut self, cmd: &Command, cycle: Cycle) {
+    pub fn commit(&mut self, cmd: &Command, cycle: Cycle) -> CommitScope {
         debug_assert!(
             self.earliest(cmd).map(|c| cycle >= c).unwrap_or(false),
             "commit violates timing: {:?} at {cycle}",
@@ -326,8 +350,14 @@ impl TimingState {
                 self.groups[gi].next_rd = self.groups[gi].next_rd.max(cycle + t.t_rfc);
                 self.groups[gi].next_wr = self.groups[gi].next_wr.max(cycle + t.t_rfc);
             }
-            return;
+            return CommitScope::Refresh;
         }
+        // Column commands reach only the I/O scopes their data crosses.
+        let column_scope = match cmd.data_scope {
+            DataScope::Bank => CommitScope::Bank,
+            DataScope::BankGroup => CommitScope::BankGroup,
+            DataScope::Rank => CommitScope::Rank,
+        };
         let b = &mut self.banks[bank_idx];
         match cmd.kind {
             CommandKind::Act => {
@@ -342,6 +372,7 @@ impl TimingState {
                     cycle,
                     &t,
                 );
+                CommitScope::Rank
             }
             CommandKind::ActSa => {
                 b.local_rows.insert(sa, cmd.addr.row);
@@ -357,6 +388,7 @@ impl TimingState {
                     cycle,
                     &t,
                 );
+                CommitScope::Rank
             }
             CommandKind::Rd => {
                 // Same-bank column cadence: tCCD_L models the shared
@@ -388,6 +420,7 @@ impl TimingState {
                     self.ranks[rank_idx].next_wr =
                         self.ranks[rank_idx].next_wr.max(cycle + t.t_ccd_s);
                 }
+                column_scope
             }
             CommandKind::Pre => {
                 b.open_row = None;
@@ -399,6 +432,7 @@ impl TimingState {
                 for next in b.next_act_sa.values_mut() {
                     *next = (*next).max(cycle + t.t_rp);
                 }
+                CommitScope::Bank
             }
             CommandKind::SelSa => {
                 b.selected_subarray = Some(sa);
@@ -406,6 +440,7 @@ impl TimingState {
                 // read gate of tRA.
                 b.next_rd = b.next_rd.max(cycle + t.t_ra);
                 b.next_sel = b.next_sel.max(cycle + t.t_ra);
+                CommitScope::Bank
             }
             CommandKind::Wr => {
                 let bank_gap = if matches!(cmd.data_scope, DataScope::Bank) {
@@ -432,6 +467,7 @@ impl TimingState {
                         .next_rd
                         .max(cycle + t.t_cwl + t.t_bl + t.t_wtr_s);
                 }
+                column_scope
             }
             CommandKind::Ref => unreachable!("handled before the bank borrow"),
         }
@@ -709,6 +745,107 @@ mod tests {
             s.earliest(&cmd(CommandKind::Pre, addr(0, 0, 0, 0, 0))),
             Err(TimingError::NothingToPrecharge)
         );
+    }
+
+    #[test]
+    fn commit_reports_the_widest_changed_scope() {
+        let mut s = state();
+        let mut commit = |kind, a: PhysAddr, data_scope| {
+            let c = Command {
+                kind,
+                addr: a,
+                data_scope,
+            };
+            let at = s.earliest(&c).unwrap();
+            s.commit(&c, at)
+        };
+        let a = addr(0, 0, 0, 5, 0);
+        let b = addr(0, 0, 1, 0, 0);
+        use CommandKind::*;
+        assert_eq!(commit(Act, a, DataScope::Bank), CommitScope::Rank);
+        assert_eq!(commit(Rd, a, DataScope::Bank), CommitScope::Bank);
+        assert_eq!(commit(Rd, a, DataScope::BankGroup), CommitScope::BankGroup);
+        assert_eq!(commit(Rd, a, DataScope::Rank), CommitScope::Rank);
+        assert_eq!(commit(Wr, a, DataScope::Bank), CommitScope::Bank);
+        assert_eq!(commit(Pre, a, DataScope::Rank), CommitScope::Bank);
+        assert_eq!(commit(ActSa, b, DataScope::Bank), CommitScope::Rank);
+        assert_eq!(commit(SelSa, b, DataScope::Bank), CommitScope::Bank);
+        assert_eq!(commit(Ref, a, DataScope::Rank), CommitScope::Refresh);
+    }
+
+    #[test]
+    fn commits_move_no_estimate_outside_their_scope() {
+        // The controller's cached picks rely on this contract: a commit
+        // changes `earliest` only for commands of the addressed bank and of
+        // the group / rank its scope names (every bank of the rank for REF).
+        let mut s = state();
+        let topo = *s.topology();
+        let banks = |rank: u32| (0..8).flat_map(move |bg| (0..4).map(move |b| (rank, bg, b)));
+        let probes: Vec<Command> = banks(0)
+            .chain(banks(1))
+            .flat_map(|(rank, bg, bank)| {
+                let a = addr(rank, bg, bank, 300, 0);
+                let mut v = [
+                    CommandKind::Act,
+                    CommandKind::ActSa,
+                    CommandKind::SelSa,
+                    CommandKind::Pre,
+                ]
+                .map(|kind| cmd(kind, a))
+                .to_vec();
+                for data_scope in [DataScope::Bank, DataScope::BankGroup, DataScope::Rank] {
+                    for kind in [CommandKind::Rd, CommandKind::Wr] {
+                        v.push(Command {
+                            kind,
+                            addr: a,
+                            data_scope,
+                        });
+                    }
+                }
+                v
+            })
+            .collect();
+        let kinds = [
+            CommandKind::Act,
+            CommandKind::ActSa,
+            CommandKind::SelSa,
+            CommandKind::Rd,
+            CommandKind::Wr,
+            CommandKind::Pre,
+            CommandKind::Ref,
+        ];
+        let scopes = [DataScope::Bank, DataScope::BankGroup, DataScope::Rank];
+        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut next = |n: u64| {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            (x >> 33) % n
+        };
+        let mut committed = 0;
+        while committed < 400 {
+            let row = [300, 600][next(2) as usize];
+            let a = addr(next(2) as u32, next(8) as u32, next(4) as u32, row, 0);
+            let c = Command {
+                kind: kinds[next(7) as usize],
+                addr: a,
+                data_scope: scopes[next(3) as usize],
+            };
+            let Ok(at) = s.earliest(&c) else { continue };
+            let before: Vec<_> = probes.iter().map(|p| s.earliest(p)).collect();
+            let scope = s.commit(&c, at + next(40));
+            committed += 1;
+            for (p, was) in probes.iter().zip(before) {
+                let same_group = p.addr.flat_bank_group(&topo) == a.flat_bank_group(&topo);
+                let inside = p.addr.flat_bank(&topo) == a.flat_bank(&topo)
+                    || match scope {
+                        CommitScope::Bank => false,
+                        CommitScope::BankGroup => same_group,
+                        CommitScope::Rank | CommitScope::Refresh => p.addr.rank == a.rank,
+                    };
+                if !inside {
+                    assert_eq!(s.earliest(p), was, "{c:?} moved {p:?}");
+                }
+            }
+        }
     }
 
     #[test]
