@@ -1,6 +1,7 @@
-//! Golden digests of every serving document and of the closed-loop run
-//! trace: the FNV-1a hash and byte length of each JSON the `repro serve` /
-//! `repro run` surfaces emit, at `Scale::Tiny` and fixed seeds.
+//! Golden digests of every serving document, of the closed-loop run trace
+//! and of the online aggregates: the FNV-1a hash and byte length of each
+//! JSON the `repro serve` / `repro run` surfaces emit, at `Scale::Tiny` and
+//! fixed seeds.
 //!
 //! The CI `cmp` gates only compare two runs of one binary; these pins tie
 //! the emitted bytes to a fixed reference, so a refactor of the simulator
@@ -12,6 +13,7 @@ use recross_bench::serving::{
     traced_point_to_json, traced_point_with, TraceOptions, SWEEP_FRACTIONS,
 };
 use recross_bench::workloads::Scale;
+use recross_obs::SharedWriter;
 use recross_serve::{Priority, QueuePolicy, TenantClass, TenantMix, TenantProcess};
 
 /// 64-bit FNV-1a.
@@ -152,6 +154,54 @@ fn traced_documents_match_golden_digests() {
     check(&docs, PINS_TRACED);
 }
 
+#[test]
+fn aggregate_and_streamed_documents_match_golden_digests() {
+    let m = mix();
+    // `serve --trace-stream --agg-out`: a streamed, unbuffered tenant point
+    // whose recorder carries the `chrome-stream` and `agg` sinks.
+    let out = SharedWriter::new();
+    let p = traced_point_with(
+        Scale::Tiny,
+        "CPU",
+        Some(&m),
+        1.2,
+        false,
+        QueuePolicy::Edf,
+        0x92,
+        true,
+        TraceOptions {
+            stream: Some(Box::new(out.clone())),
+            agg: true,
+            buffered: false,
+        },
+    )
+    .expect("in-memory stream cannot fail");
+    let streamed = traced_point_to_json(&p, Scale::Tiny, Some(&m), false, QueuePolicy::Edf, 0x92);
+    assert!(
+        streamed.contains("\"kind\":\"chrome-stream\"") && streamed.contains("\"kind\":\"agg\"")
+    );
+    let serve_agg = p.agg.as_ref().expect("agg enabled").to_json();
+    // `run --agg-out`: the closed-loop tracer's online aggregates.
+    let run = closed_loop_trace_with(
+        Scale::Tiny,
+        "ReCross",
+        0xD17A,
+        0,
+        TraceOptions {
+            agg: true,
+            ..TraceOptions::default()
+        },
+    )
+    .expect("in-memory tracing cannot fail");
+    let run_agg = run.aggregates().expect("agg enabled").to_json();
+    let docs = [
+        ("serve agg", serve_agg),
+        ("run agg", run_agg),
+        ("streamed tenant point", streamed),
+    ];
+    check(&docs, PINS_AGG);
+}
+
 const PINS_SWEEP: &[(&str, u64, usize)] = &[
     ("sweep poisson/fifo", 0xc1dbdd644894d0a2, 9805),
     ("sweep bursty/sjf", 0x135f746f107f8797, 9848),
@@ -169,4 +219,10 @@ const PINS_TRACED: &[(&str, u64, usize)] = &[
     ("traced tenant point", 0xfd222008d97d4b6b, 4562),
     ("traced tenant point perfetto", 0xb25676eb5d9f9f3b, 4985474),
     ("run trace", 0xb3548d3857f08340, 984),
+];
+
+const PINS_AGG: &[(&str, u64, usize)] = &[
+    ("serve agg", 0xf3d2607b663ee561, 1900),
+    ("run agg", 0x52e4492d0ba1b7b9, 795),
+    ("streamed tenant point", 0x3fa9a8ff31e38c9f, 4519),
 ];
