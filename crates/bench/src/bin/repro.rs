@@ -591,18 +591,19 @@ fn serve_trace_point(
         "{:>3} {:>7} {:>10} {:>21} {:>11}",
         "ch", "busy", "dispatches", "depth p50/p99/max", "shed q/d"
     );
-    for (ch, c) in p.obs.channels.iter().enumerate() {
+    for (ch, oc) in p.obs.channels.iter().enumerate() {
+        let c = &oc.report;
         println!(
             "{ch:>3} {:>6.1}% {:>10} {:>17}/{}/{} {:>8}/{}",
-            c.busy_fraction * 100.0,
+            c.utilization * 100.0,
             c.dispatches,
             c.depth_p50,
             c.depth_p99,
             c.depth_max,
-            c.queue_shed,
-            c.deadline_shed
+            c.shed,
+            c.expired
         );
-        if let Some(a) = &c.attribution {
+        if let Some(a) = &oc.attribution {
             println!("    {}", recross_dram::attribution::summarize(&format!("ch{ch}"), a));
         }
     }

@@ -31,8 +31,7 @@ use recross_dram::traceviz::{dram_tracks, record_commands};
 use recross_dram::{Cycle, DramConfig, IssuedCommand};
 use recross_nmp::multichannel::ChannelPlan;
 use recross_obs::agg::{Aggregates, Aggregator};
-use recross_obs::{chrome_trace_string, ChromeStreamSink, Recorder};
-use recross_obs::{fmt_f64, json_string};
+use recross_obs::{chrome_trace_string, ChromeStreamSink, JsonWriter, Recorder};
 
 use crate::serving::{arch_sessions, TraceOptions};
 use crate::workloads::{dram, generator, Scale};
@@ -129,31 +128,25 @@ impl RunTrace {
     /// (deterministic bytes for a given input — identical for buffered
     /// and unbuffered captures of the same run).
     pub fn to_json(&self, scale: Scale, seed: u64) -> String {
-        let batches: Vec<String> = self
-            .batches
-            .iter()
-            .map(|(i, start, cycles)| {
-                format!("{{\"batch\":{i},\"start_cycle\":{start},\"cycles\":{cycles}}}")
-            })
-            .collect();
-        format!(
-            concat!(
-                "{{\"experiment\":\"run_trace\",\"scale\":{},\"arch\":{},",
-                "\"engine\":{},",
-                "\"seed\":{},\"batches\":[{}],\"total_cycles\":{},",
-                "\"commands\":{},\"throughput_lookups_per_cycle\":{},",
-                "\"dram\":{}}}"
-            ),
-            json_string(scale.name()),
-            json_string(&self.arch),
-            json_string(&self.engine),
-            seed,
-            batches.join(","),
-            self.total_cycles,
-            self.command_count,
-            fmt_f64(self.lookups as f64 / self.total_cycles.max(1) as f64),
-            self.attribution.to_json()
-        )
+        JsonWriter::object(|w| {
+            w.field("experiment", "run_trace");
+            w.field("scale", scale.name());
+            w.field("arch", &self.arch).field("engine", &self.engine);
+            w.field("seed", seed).key("batches").arr(|w| {
+                for &(i, start, cycles) in &self.batches {
+                    w.obj(|w| {
+                        w.field("batch", i).field("start_cycle", start);
+                        w.field("cycles", cycles);
+                    });
+                }
+            });
+            w.field("total_cycles", self.total_cycles);
+            w.field("commands", self.command_count);
+            let throughput = self.lookups as f64 / self.total_cycles.max(1) as f64;
+            w.field("throughput_lookups_per_cycle", throughput);
+            w.key("dram");
+            self.attribution.write_json(w);
+        })
     }
 }
 

@@ -21,7 +21,7 @@ use recross::profile::empirical_profiles;
 use recross_nmp::multichannel::ChannelPlan;
 use recross_nmp::session::ServiceSession;
 use recross_nmp::{AccessProfile, CpuBaseline};
-use recross_obs::{fmt_f64, json_string};
+use recross_obs::JsonWriter;
 use recross_serve::{
     open_sessions, simulate, ArrivalProcess, BatcherConfig, ObsReport, QueuePolicy, ServeObs,
     ServeReport, SloReport, TenantMix, TenantRequest, TenantSloReport,
@@ -335,68 +335,48 @@ pub fn tenant_slo_search_at(
         .collect()
 }
 
-/// The tenant classes of a mix as a JSON array (metadata echoed into the
-/// tenant experiment documents).
-fn mix_to_json(mix: &TenantMix) -> String {
-    let classes: Vec<String> = mix
-        .classes()
-        .iter()
-        .map(|c| {
-            format!(
-                "{{\"name\":{},\"share\":{},\"process\":{},\"deadline_us\":{},\"priority\":{}}}",
-                json_string(&c.name),
-                fmt_f64(c.share),
-                json_string(c.process.kind()),
-                fmt_f64(c.deadline_us),
-                json_string(c.priority.kind())
-            )
-        })
-        .collect();
-    format!("[{}]", classes.join(","))
+/// Writes the arrival-shape field of a document: the mix's tenant
+/// classes, or the single stream's process.
+fn write_arrival(w: &mut JsonWriter, mix: Option<&TenantMix>, bursty: bool) {
+    let Some(m) = mix else {
+        w.field("arrival", if bursty { "bursty" } else { "poisson" });
+        return;
+    };
+    w.key("tenant_classes").arr(|w| {
+        for c in m.classes() {
+            w.obj(|w| {
+                w.field("name", &c.name).field("share", c.share);
+                w.field("process", c.process.kind());
+                w.field("deadline_us", c.deadline_us);
+                w.field("priority", c.priority.kind());
+            });
+        }
+    });
 }
 
-/// The arrival-shape field of a document: the mix's classes, or the
-/// single stream's process.
-fn arrival_json(mix: Option<&TenantMix>, bursty: bool) -> String {
-    match mix {
-        Some(m) => format!("\"tenant_classes\":{}", mix_to_json(m)),
-        None => format!(
-            "\"arrival\":{}",
-            json_string(if bursty { "bursty" } else { "poisson" })
-        ),
-    }
-}
-
-/// The metadata fields shared by the sweep and search documents. The
-/// arrival shape leads a single-stream document and the tenant classes
-/// close a tenant one.
-fn header_json(
+/// Writes the metadata fields shared by the sweep and search documents.
+/// The arrival shape follows the scale in a single-stream document and
+/// closes the header of a tenant one.
+fn write_header(
+    w: &mut JsonWriter,
     experiment: &str,
     scale: Scale,
     mix: Option<&TenantMix>,
     bursty: bool,
     policy: QueuePolicy,
     seed: u64,
-) -> String {
-    let arrival = arrival_json(mix, bursty);
-    let (lead, tail) = match mix {
-        Some(_) => (String::new(), format!(",{arrival}")),
-        None => (format!("{arrival},"), String::new()),
-    };
-    format!(
-        concat!(
-            "\"experiment\":{},\"scale\":{},{}\"policy\":{},\"seed\":{},",
-            "\"channels\":{},\"requests\":{}{}"
-        ),
-        json_string(experiment),
-        json_string(scale.name()),
-        lead,
-        json_string(policy.kind()),
-        seed,
-        CHANNELS,
-        requests_for(scale),
-        tail
-    )
+) {
+    w.field("experiment", experiment);
+    w.field("scale", scale.name());
+    if mix.is_none() {
+        write_arrival(w, None, bursty);
+    }
+    w.field("policy", policy.kind()).field("seed", seed);
+    w.field("channels", CHANNELS);
+    w.field("requests", requests_for(scale));
+    if mix.is_some() {
+        write_arrival(w, mix, bursty);
+    }
 }
 
 /// The whole sweep as one JSON document (deterministic bytes for a given
@@ -410,47 +390,38 @@ pub fn sweep_to_json(
     policy: QueuePolicy,
     seed: u64,
 ) -> String {
-    let archs: Vec<String> = sweeps
-        .iter()
-        .map(|s| {
-            let points: Vec<String> = s
-                .points
-                .iter()
-                .map(|(f, r)| {
-                    format!("{{\"fraction\":{},\"result\":{}}}", fmt_f64(*f), r.to_json())
-                })
-                .collect();
-            format!(
-                "{{\"arch\":{},\"capacity_qps\":{},\"points\":[{}]}}",
-                json_string(&s.arch),
-                fmt_f64(s.capacity_qps),
-                points.join(",")
-            )
-        })
-        .collect();
-    let (experiment, cfg, shed) = match mix {
-        None => ("serve_qps_sweep", batcher_config(policy), String::new()),
-        Some(_) => {
-            let cfg = tenant_batcher_config(policy);
-            let shed = format!(
-                ",\"shed_expired\":{},\"adaptive_linger\":{}",
-                cfg.shed_expired, cfg.adaptive_linger
-            );
-            ("serve_tenant_sweep", cfg, shed)
-        }
+    let (experiment, cfg) = match mix {
+        None => ("serve_qps_sweep", batcher_config(policy)),
+        Some(_) => ("serve_tenant_sweep", tenant_batcher_config(policy)),
     };
-    format!(
-        concat!(
-            "{{{},\"batcher\":{{\"max_batch\":{},\"max_linger_cycles\":{},",
-            "\"queue_depth\":{}{}}},\"archs\":[{}]}}"
-        ),
-        header_json(experiment, scale, mix, bursty, policy, seed),
-        cfg.max_batch,
-        cfg.max_linger,
-        cfg.queue_depth,
-        shed,
-        archs.join(",")
-    )
+    JsonWriter::object(|w| {
+        write_header(w, experiment, scale, mix, bursty, policy, seed);
+        w.key("batcher").obj(|w| {
+            w.field("max_batch", cfg.max_batch);
+            w.field("max_linger_cycles", cfg.max_linger);
+            w.field("queue_depth", cfg.queue_depth);
+            if mix.is_some() {
+                w.field("shed_expired", cfg.shed_expired);
+                w.field("adaptive_linger", cfg.adaptive_linger);
+            }
+        });
+        w.key("archs").arr(|w| {
+            for s in sweeps {
+                w.obj(|w| {
+                    w.field("arch", &s.arch);
+                    w.field("capacity_qps", s.capacity_qps);
+                    w.key("points").arr(|w| {
+                        for (f, r) in &s.points {
+                            w.obj(|w| {
+                                w.field("fraction", *f).key("result");
+                                r.write_json(w);
+                            });
+                        }
+                    });
+                });
+            }
+        });
+    })
 }
 
 /// The whole SLO search as one JSON document (deterministic bytes for a
@@ -462,12 +433,14 @@ pub fn slo_to_json(
     policy: QueuePolicy,
     seed: u64,
 ) -> String {
-    let archs: Vec<String> = reports.iter().map(|r| r.to_json()).collect();
-    format!(
-        "{{{},\"archs\":[{}]}}",
-        header_json("serve_slo_search", scale, None, bursty, policy, seed),
-        archs.join(",")
-    )
+    JsonWriter::object(|w| {
+        write_header(w, "serve_slo_search", scale, None, bursty, policy, seed);
+        w.key("archs").arr(|w| {
+            for r in reports {
+                r.write_json(w);
+            }
+        });
+    })
 }
 
 /// The whole multi-tenant SLO search as one JSON document (deterministic
@@ -479,12 +452,15 @@ pub fn tenant_slo_to_json(
     policy: QueuePolicy,
     seed: u64,
 ) -> String {
-    let archs: Vec<String> = reports.iter().map(|r| r.to_json()).collect();
-    format!(
-        "{{{},\"archs\":[{}]}}",
-        header_json("serve_tenant_slo_search", scale, Some(mix), false, policy, seed),
-        archs.join(",")
-    )
+    JsonWriter::object(|w| {
+        let experiment = "serve_tenant_slo_search";
+        write_header(w, experiment, scale, Some(mix), false, policy, seed);
+        w.key("archs").arr(|w| {
+            for r in reports {
+                r.write_json(w);
+            }
+        });
+    })
 }
 
 /// How a traced point records its timeline: buffered in memory (the
@@ -618,28 +594,22 @@ pub fn traced_point_to_json(
     policy: QueuePolicy,
     seed: u64,
 ) -> String {
-    format!(
-        concat!(
-            "{{\"experiment\":\"serve_trace_point\",\"scale\":{},",
-            "\"arch\":{},{},\"policy\":{},\"seed\":{},\"channels\":{},",
-            "\"requests\":{},\"load\":{},\"capacity_qps\":{},",
-            "\"offered_qps\":{},\"dram_trace\":{},",
-            "\"serve\":{},\"obs\":{}}}"
-        ),
-        json_string(scale.name()),
-        json_string(&point.arch),
-        arrival_json(mix, bursty),
-        json_string(policy.kind()),
-        seed,
-        CHANNELS,
-        requests_for(scale),
-        fmt_f64(point.load),
-        fmt_f64(point.capacity_qps),
-        fmt_f64(point.offered_qps),
-        point.dram_trace,
-        point.report.to_json(),
-        point.obs.to_json()
-    )
+    JsonWriter::object(|w| {
+        w.field("experiment", "serve_trace_point");
+        w.field("scale", scale.name());
+        w.field("arch", &point.arch);
+        write_arrival(w, mix, bursty);
+        w.field("policy", policy.kind()).field("seed", seed);
+        w.field("channels", CHANNELS);
+        w.field("requests", requests_for(scale));
+        w.field("load", point.load);
+        w.field("capacity_qps", point.capacity_qps);
+        w.field("offered_qps", point.offered_qps);
+        w.field("dram_trace", point.dram_trace).key("serve");
+        point.report.write_json(w);
+        w.key("obs");
+        point.obs.write_json(w);
+    })
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 //! Everything is integer cycles over a caller-chosen analysis window and
 //! therefore byte-deterministic in JSON form.
 
-use recross_obs::{fmt_f64, json_string};
+use recross_obs::{json_string, JsonWriter};
 
 use crate::command::{CommandKind, DataScope, IssuedCommand};
 use crate::config::{Cycle, DramConfig, TimingParams, Topology};
@@ -210,9 +210,17 @@ impl CommandAttribution {
 
     /// Deterministic JSON object (see DESIGN.md "Observability").
     pub fn to_json(&self) -> String {
-        let frac_vec = |v: &[Cycle]| {
-            let items: Vec<String> = v.iter().map(|&c| fmt_f64(self.fraction(c))).collect();
-            format!("[{}]", items.join(","))
+        JsonWriter::build(|w| self.write_json(w))
+    }
+
+    /// Writes the [`to_json`](Self::to_json) object into `w`.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        let fracs = |w: &mut JsonWriter, v: &[Cycle]| {
+            w.arr(|w| {
+                for &c in v {
+                    w.value(self.fraction(c));
+                }
+            });
         };
         let active = self.pe.bank.iter().filter(|&&c| c > 0).count();
         let bank_sum: Cycle = self.pe.bank.iter().sum();
@@ -227,41 +235,42 @@ impl CommandAttribution {
             .iter()
             .map(|&c| self.fraction(c))
             .fold(0.0, f64::max);
-        format!(
-            concat!(
-                "{{\"span_cycles\":{},\"commands\":{},",
-                "\"reads\":{},\"writes\":{},\"activates\":{},\"precharges\":{},\"refreshes\":{},",
-                "\"ca_bus\":{{\"busy_cycles\":{},\"utilization\":{}}},",
-                "\"data_bus\":{{\"bank_cycles\":{},\"bank_group_cycles\":{},\"rank_cycles\":{},\"rank_utilization\":{}}},",
-                "\"trcd_cycles\":{},\"trp_cycles\":{},",
-                "\"bank_conflicts\":{{\"count\":{},\"cycles\":{},\"fraction\":{}}},",
-                "\"pe_utilization\":{{\"rank\":{},\"bank_group\":{},",
-                "\"bank\":{{\"active\":{},\"mean_active\":{},\"max\":{}}}}}}}"
-            ),
-            self.span,
-            self.commands,
-            self.reads,
-            self.writes,
-            self.activates,
-            self.precharges,
-            self.refreshes,
-            self.ca_busy,
-            fmt_f64(self.fraction(self.ca_busy)),
-            self.data_bank,
-            self.data_bank_group,
-            self.data_rank,
-            fmt_f64(self.fraction(self.data_rank)),
-            self.trcd,
-            self.trp,
-            self.bank_conflicts,
-            self.bank_conflict_cycles,
-            fmt_f64(self.fraction(self.bank_conflict_cycles)),
-            frac_vec(&self.pe.rank),
-            frac_vec(&self.pe.bank_group),
-            active,
-            fmt_f64(bank_mean_active),
-            fmt_f64(bank_max),
-        )
+        w.obj(|w| {
+            w.field("span_cycles", self.span);
+            w.field("commands", self.commands);
+            w.field("reads", self.reads).field("writes", self.writes);
+            w.field("activates", self.activates);
+            w.field("precharges", self.precharges);
+            w.field("refreshes", self.refreshes);
+            w.key("ca_bus").obj(|w| {
+                w.field("busy_cycles", self.ca_busy);
+                w.field("utilization", self.fraction(self.ca_busy));
+            });
+            w.key("data_bus").obj(|w| {
+                w.field("bank_cycles", self.data_bank);
+                w.field("bank_group_cycles", self.data_bank_group);
+                w.field("rank_cycles", self.data_rank);
+                w.field("rank_utilization", self.fraction(self.data_rank));
+            });
+            w.field("trcd_cycles", self.trcd);
+            w.field("trp_cycles", self.trp);
+            w.key("bank_conflicts").obj(|w| {
+                w.field("count", self.bank_conflicts);
+                w.field("cycles", self.bank_conflict_cycles);
+                w.field("fraction", self.fraction(self.bank_conflict_cycles));
+            });
+            w.key("pe_utilization").obj(|w| {
+                w.key("rank");
+                fracs(w, &self.pe.rank);
+                w.key("bank_group");
+                fracs(w, &self.pe.bank_group);
+                w.key("bank").obj(|w| {
+                    w.field("active", active);
+                    w.field("mean_active", bank_mean_active);
+                    w.field("max", bank_max);
+                });
+            });
+        });
     }
 }
 

@@ -43,7 +43,6 @@ pub mod cache;
 pub mod cost;
 pub mod cpu;
 pub mod engine;
-pub mod fafnir;
 pub mod layout;
 pub mod multichannel;
 pub mod profile;
@@ -57,7 +56,6 @@ pub use session::{MemoizedSession, ServiceSession, Serviced, SessionStats, DEFAU
 pub use cost::{AreaModel, AreaParams, AreaReport};
 pub use cpu::CpuBaseline;
 pub use engine::{execute, internal_bandwidth, EngineConfig, LookupPlan, PlacedRead};
-pub use fafnir::Fafnir;
 pub use multichannel::{run_multichannel, ChannelPlan};
 pub use profile::AccessProfile;
 pub use recnmp::RecNmp;

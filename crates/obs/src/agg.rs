@@ -35,8 +35,10 @@
 //! that sequence. Tests in this module and in `recross-serve` assert the
 //! equality (`Aggregates` derives `PartialEq`).
 //!
-//! Request timing definitions (shared with `ServeObs`'s per-tenant
-//! report block): *time-in-queue* is first dispatch minus arrival,
+//! [`TenantAggregate`] is the workspace's one per-tenant lifecycle record:
+//! `ServeObs` folds its `ObsReport` tenant block through the same
+//! [`TenantAggregate::record`] this engine calls, so the two agree by
+//! construction. *Time-in-queue* is first dispatch minus arrival,
 //! *time-in-service* is lifecycle end minus last dispatch; requests that
 //! were never dispatched anywhere (pure sheds) contribute to fate
 //! counters but not to the timing histograms.
@@ -44,7 +46,7 @@
 use std::collections::BTreeMap;
 
 use crate::hist::{LatencyHistogram, NUM_BUCKETS};
-use crate::json::{fmt_f64, json_string};
+use crate::json::JsonWriter;
 use crate::recorder::{Event, EventKind, Recorder, StrId, TrackId};
 use crate::sink::EventSink;
 
@@ -103,13 +105,13 @@ struct OpenRequest {
     start: u64,
     end: u64,
     fate: Option<&'static str>,
-    first_dispatch: Option<u64>,
-    last_dispatch: Option<u64>,
+    /// First and last dispatch instants.
+    dispatch: Option<(u64, u64)>,
 }
 
-/// Per-tenant lifecycle aggregates: fate counters that partition the
-/// tenant's requests exactly, plus the two timing histograms.
-#[derive(Debug, Clone, PartialEq)]
+/// The per-tenant lifecycle record (also `ObsReport`'s tenant block): fate
+/// counters that partition the tenant's requests, and two histograms.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TenantAggregate {
     /// Tenant name (the part after `tenant: ` in the root track name).
     pub name: String,
@@ -128,15 +130,11 @@ pub struct TenantAggregate {
 }
 
 impl TenantAggregate {
-    fn new(name: &str) -> Self {
+    /// An empty record for tenant `name`.
+    pub fn new(name: &str) -> Self {
         Self {
             name: name.to_string(),
-            completed: 0,
-            late: 0,
-            queue_shed: 0,
-            deadline_shed: 0,
-            time_in_queue: LatencyHistogram::new(),
-            time_in_service: LatencyHistogram::new(),
+            ..Self::default()
         }
     }
 
@@ -145,22 +143,36 @@ impl TenantAggregate {
         self.completed + self.late + self.queue_shed + self.deadline_shed
     }
 
-    fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"name\":{},\"requests\":{},\"completed\":{},\"late\":{},",
-                "\"queue_shed\":{},\"deadline_shed\":{},",
-                "\"time_in_queue\":{},\"time_in_service\":{}}}"
-            ),
-            json_string(&self.name),
-            self.requests(),
-            self.completed,
-            self.late,
-            self.queue_shed,
-            self.deadline_shed,
-            self.time_in_queue.summary_json(),
-            self.time_in_service.summary_json()
-        )
+    /// Folds one resolved request: its fate (as [`parse_fate`] names it),
+    /// its lifecycle span `start..end`, and its first and last dispatch
+    /// instants, if it was ever dispatched.
+    pub fn record(&mut self, fate: &str, start: u64, end: u64, dispatch: Option<(u64, u64)>) {
+        match fate {
+            "completed" => self.completed += 1,
+            "late" => self.late += 1,
+            "queue-shed" => self.queue_shed += 1,
+            _ => self.deadline_shed += 1,
+        }
+        if let Some((first, last)) = dispatch {
+            self.time_in_queue.record(first.saturating_sub(start));
+            self.time_in_service.record(end.saturating_sub(last));
+        }
+    }
+
+    /// Writes the record as one JSON object.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.obj(|w| {
+            w.field("name", &self.name);
+            w.field("requests", self.requests());
+            w.field("completed", self.completed);
+            w.field("late", self.late);
+            w.field("queue_shed", self.queue_shed);
+            w.field("deadline_shed", self.deadline_shed);
+            w.key("time_in_queue");
+            self.time_in_queue.write_json(w);
+            w.key("time_in_service");
+            self.time_in_service.write_json(w);
+        });
     }
 }
 
@@ -215,55 +227,39 @@ impl Aggregates {
     /// The aggregates as one deterministic JSON document
     /// (`"experiment":"obs_agg"` envelope).
     pub fn to_json(&self) -> String {
-        let tenants: Vec<String> = self.tenants.iter().map(|t| t.to_json()).collect();
-        let channels: Vec<String> = self
-            .channels
-            .iter()
-            .map(|c| {
-                let busy = c.busy_fraction(self.makespan_cycles);
-                format!(
-                    "{{\"name\":{},\"busy_cycles\":{},\"busy_fraction\":{},\"idle_fraction\":{}}}",
-                    json_string(&c.name),
-                    c.busy_cycles,
-                    fmt_f64(busy),
-                    fmt_f64(1.0 - busy)
-                )
-            })
-            .collect();
-        let spans: Vec<String> = self
-            .spans
-            .iter()
-            .map(|(name, h)| {
-                format!(
-                    "{{\"name\":{},\"durations\":{}}}",
-                    json_string(name),
-                    h.summary_json()
-                )
-            })
-            .collect();
-        let gauges: Vec<String> = self
-            .gauges
-            .iter()
-            .map(|(name, h)| {
-                format!(
-                    "{{\"name\":{},\"values\":{}}}",
-                    json_string(name),
-                    h.summary_json()
-                )
-            })
-            .collect();
-        format!(
-            concat!(
-                "{{\"experiment\":\"obs_agg\",\"events\":{},\"makespan_cycles\":{},",
-                "\"tenants\":[{}],\"channels\":[{}],\"spans\":[{}],\"gauges\":[{}]}}"
-            ),
-            self.events,
-            self.makespan_cycles,
-            tenants.join(","),
-            channels.join(","),
-            spans.join(","),
-            gauges.join(",")
-        )
+        // `"spans":[{"name":…,"durations":{…}},…]` and likewise for gauges.
+        let named = |w: &mut JsonWriter, key, hist_key, list: &[(String, LatencyHistogram)]| {
+            w.key(key).arr(|w| {
+                for (name, h) in list {
+                    w.obj(|w| {
+                        w.field("name", name).key(hist_key);
+                        h.write_json(w);
+                    });
+                }
+            });
+        };
+        JsonWriter::object(|w| {
+            w.field("experiment", "obs_agg");
+            w.field("events", self.events);
+            w.field("makespan_cycles", self.makespan_cycles);
+            w.key("tenants").arr(|w| {
+                for t in &self.tenants {
+                    t.write_json(w);
+                }
+            });
+            w.key("channels").arr(|w| {
+                for c in &self.channels {
+                    let busy = c.busy_fraction(self.makespan_cycles);
+                    w.obj(|w| {
+                        w.field("name", &c.name).field("busy_cycles", c.busy_cycles);
+                        w.field("busy_fraction", busy);
+                        w.field("idle_fraction", 1.0 - busy);
+                    });
+                }
+            });
+            named(w, "spans", "durations", &self.spans);
+            named(w, "gauges", "values", &self.gauges);
+        })
     }
 }
 
@@ -294,19 +290,8 @@ impl Aggregator {
     }
 
     fn finalize(tenants: &mut [TenantAggregate], o: &OpenRequest) {
-        let Some(fate) = o.fate else { return };
-        let t = &mut tenants[o.tenant];
-        match fate {
-            "completed" => t.completed += 1,
-            "late" => t.late += 1,
-            "queue-shed" => t.queue_shed += 1,
-            _ => t.deadline_shed += 1,
-        }
-        if let Some(fd) = o.first_dispatch {
-            t.time_in_queue.record(fd.saturating_sub(o.start));
-        }
-        if let Some(ld) = o.last_dispatch {
-            t.time_in_service.record(o.end.saturating_sub(ld));
+        if let Some(fate) = o.fate {
+            tenants[o.tenant].record(fate, o.start, o.end, o.dispatch);
         }
     }
 
@@ -414,8 +399,7 @@ impl EventSink for Aggregator {
                             start: e.ts,
                             end: e.ts + dur,
                             fate: parse_fate(&self.strings[e.name.0 as usize]),
-                            first_dispatch: None,
-                            last_dispatch: None,
+                            dispatch: None,
                         });
                     }
                     Role::Plain => {}
@@ -435,10 +419,8 @@ impl EventSink for Aggregator {
                 if let Role::Lane(_) = info.role {
                     if self.strings[e.name.0 as usize].starts_with("dispatch") {
                         if let Some(o) = self.open[t].as_mut() {
-                            if o.first_dispatch.is_none() {
-                                o.first_dispatch = Some(e.ts);
-                            }
-                            o.last_dispatch = Some(e.ts);
+                            let first = o.dispatch.map_or(e.ts, |(first, _)| first);
+                            o.dispatch = Some((first, e.ts));
                         }
                     }
                 }

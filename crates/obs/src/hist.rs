@@ -9,6 +9,8 @@
 //! array that merges across channels/shards by plain addition — no sorting,
 //! no per-sample storage.
 
+use crate::json::JsonWriter;
+
 /// Linear sub-buckets per power-of-two octave.
 pub const SUB_BUCKETS: usize = 32;
 const LOG_SUB: u32 = SUB_BUCKETS.trailing_zeros(); // 5
@@ -169,20 +171,16 @@ impl LatencyHistogram {
         )
     }
 
-    /// A deterministic JSON summary object
-    /// (`{"count":…,"mean":…,"min":…,"p50":…,"p90":…,"p99":…,"max":…}`);
+    /// Writes the summary object
+    /// (`{"count":…,"mean":…,"min":…,"p50":…,"p90":…,"p99":…,"max":…}`),
     /// the shared shape for histogram blocks across report JSON.
-    pub fn summary_json(&self) -> String {
-        format!(
-            "{{\"count\":{},\"mean\":{},\"min\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"max\":{}}}",
-            self.count(),
-            crate::json::fmt_f64(self.mean()),
-            self.min(),
-            self.quantile(0.50),
-            self.quantile(0.90),
-            self.quantile(0.99),
-            self.max()
-        )
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.obj(|w| {
+            w.field("count", self.count()).field("mean", self.mean());
+            w.field("min", self.min()).field("p50", self.quantile(0.5));
+            w.field("p90", self.quantile(0.9));
+            w.field("p99", self.quantile(0.99)).field("max", self.max());
+        });
     }
 }
 
@@ -319,12 +317,14 @@ mod tests {
         for v in [10u64, 20, 30] {
             h.record(v);
         }
-        let json = h.summary_json();
-        assert!(json.starts_with("{\"count\":3,\"mean\":20.0,\"min\":10,"), "{json}");
+        assert_eq!(h.quantile(1.0), 30, "small values are exact");
+        let summary = |h: &LatencyHistogram| JsonWriter::build(|w| h.write_json(w));
+        let json = summary(&h);
+        assert!(json.starts_with("{\"count\":3,\"mean\":20.0,\"min\":10,"));
         assert!(json.ends_with(",\"max\":30}"), "{json}");
-        assert_eq!(json, h.clone().summary_json());
+        assert_eq!(json, summary(&h.clone()));
         assert_eq!(
-            LatencyHistogram::new().summary_json(),
+            summary(&LatencyHistogram::new()),
             "{\"count\":0,\"mean\":0.0,\"min\":0,\"p50\":0,\"p90\":0,\"p99\":0,\"max\":0}"
         );
     }

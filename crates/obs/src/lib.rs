@@ -79,6 +79,6 @@ mod recorder;
 pub mod sink;
 
 pub use chrome::{chrome_trace_string, write_chrome_trace, ChromeStreamSink, STREAM_CHUNK};
-pub use json::{fmt_f64, json_string};
+pub use json::{fmt_f64, json_string, JsonScalar, JsonWriter};
 pub use recorder::{Event, EventKind, Recorder, StrId, TrackId};
 pub use sink::{EventSink, MemorySink, RingSink, SharedWriter, SinkStats};

@@ -32,6 +32,7 @@ use std::collections::VecDeque;
 use std::io;
 use std::rc::Rc;
 
+use crate::json::JsonWriter;
 use crate::recorder::{Event, StrId, TrackId};
 
 /// A consumer of one recorder's event stream.
@@ -130,12 +131,15 @@ pub struct SinkStats {
 impl SinkStats {
     /// Deterministic JSON object (`{"kind":…,"dropped":…,"heap_capacity":…}`).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"kind\":{},\"dropped\":{},\"heap_capacity\":{}}}",
-            crate::json::json_string(self.kind),
-            self.dropped,
-            self.heap_capacity
-        )
+        JsonWriter::build(|w| self.write_json(w))
+    }
+
+    /// Writes the [`to_json`](Self::to_json) object into `w`.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.obj(|w| {
+            w.field("kind", self.kind).field("dropped", self.dropped);
+            w.field("heap_capacity", self.heap_capacity);
+        });
     }
 }
 

@@ -36,10 +36,11 @@
 //!   bisection over offered QPS for the highest rate whose p99 latency
 //!   meets a bound ([`slo_search`]) or at which every tenant of a mix
 //!   meets its own deadline ([`slo_search_tenants`]);
-//! * [`hist`] / [`report`] — a mergeable log-scale latency histogram
-//!   (p50…p999 within ~3 % relative error) and a JSON [`ServeReport`]
-//!   with goodput, shed rate, queue-depth series, service-cache stats,
-//!   per-channel utilization, and per-tenant [`TenantReport`] sections.
+//! * [`report`] — a JSON [`ServeReport`] with goodput, shed rate,
+//!   queue-depth series, service-cache stats, per-channel utilization,
+//!   and per-tenant [`TenantReport`] sections; latencies are kept in
+//!   `recross_obs`'s mergeable log-scale [`LatencyHistogram`] (p50…p999
+//!   within ~3 % relative error).
 //!
 //! Everything is integer cycles and in-repo PRNG, so identical seeds give
 //! byte-identical reports on any platform.
@@ -103,7 +104,6 @@
 
 pub mod arrival;
 pub mod batch;
-pub mod hist;
 pub mod obs;
 pub mod report;
 pub mod sim;
@@ -112,8 +112,8 @@ pub mod tenant;
 
 pub use arrival::ArrivalProcess;
 pub use batch::{Batcher, BatcherConfig, QueuePolicy, QueuedJob};
-pub use hist::LatencyHistogram;
-pub use obs::{LifecycleTotals, ObsChannel, ObsReport, ObsTenant, ServeObs};
+pub use recross_obs::hist::LatencyHistogram;
+pub use obs::{ObsChannel, ObsReport, ServeObs};
 pub use report::{ChannelReport, ServeReport, TenantReport};
 pub use sim::{
     open_sessions, simulate, simulate_sessions, simulate_tenant_sessions,

@@ -47,28 +47,10 @@ use std::rc::Rc;
 use recross_dram::attribution::AttributionBuilder;
 use recross_dram::traceviz::{dram_tracks, record_commands, DramTracks};
 use recross_dram::{CommandAttribution, Cycle, DramConfig, IssuedCommand};
-use recross_obs::agg::{parse_fate, Aggregates, Aggregator};
-use recross_obs::{fmt_f64, json_string, ChromeStreamSink, Recorder, RingSink, SinkStats, TrackId};
+use recross_obs::agg::{parse_fate, Aggregates, Aggregator, TenantAggregate};
+use recross_obs::{ChromeStreamSink, JsonWriter, Recorder, RingSink, SinkStats, TrackId};
 
-use crate::hist::LatencyHistogram;
-use crate::report::ServeReport;
-
-/// Request-fate tallies accumulated while synthesizing request lanes;
-/// one count per lifecycle outcome, plus the span total the lifecycle
-/// test checks against the [`ServeReport`] counters.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct LifecycleTotals {
-    /// Requests that completed by their deadline.
-    pub completed: u64,
-    /// Requests that completed after their deadline.
-    pub late: u64,
-    /// Requests dropped by a full queue on some channel.
-    pub queue_shed: u64,
-    /// Requests dropped by deadline shedding.
-    pub deadline_shed: u64,
-    /// Request lifecycle spans recorded (one per request).
-    pub spans: u64,
-}
+use crate::report::{ChannelReport, ServeReport};
 
 /// One request lane: the track and the cycle at which it frees up.
 struct Lane {
@@ -76,10 +58,11 @@ struct Lane {
     free: Cycle,
 }
 
-/// Per-tenant lane group.
+/// Per-tenant lane group and the lifecycle record folded from its spans.
 struct LaneGroup {
     root: TrackId,
     lanes: Vec<Lane>,
+    tenant: TenantAggregate,
 }
 
 /// Per-channel observability tracks and accumulators.
@@ -90,18 +73,6 @@ struct ChannelTracks {
     /// Incremental attribution over this channel's dispatched command
     /// streams (folded batch-by-batch, so no command is retained).
     attr: Option<AttributionBuilder>,
-}
-
-/// Per-tenant lifecycle accumulators (fates + queue/service timing),
-/// filled as request spans are recorded.
-#[derive(Debug, Clone, Default)]
-struct TenantStats {
-    completed: u64,
-    late: u64,
-    queue_shed: u64,
-    deadline_shed: u64,
-    queue: LatencyHistogram,
-    service: LatencyHistogram,
 }
 
 /// The cross-layer trace recorder for one serving run.
@@ -116,10 +87,9 @@ pub struct ServeObs {
     trace_dram: bool,
     begun: bool,
     groups: Vec<LaneGroup>,
-    group_names: Vec<String>,
+    /// Request lifecycle spans recorded.
+    spans: u64,
     channels: Vec<ChannelTracks>,
-    totals: LifecycleTotals,
-    tenant_stats: Vec<TenantStats>,
     agg: Option<Rc<RefCell<Aggregator>>>,
 }
 
@@ -135,10 +105,8 @@ impl ServeObs {
             trace_dram: true,
             begun: false,
             groups: Vec::new(),
-            group_names: Vec::new(),
+            spans: 0,
             channels: Vec::new(),
-            totals: LifecycleTotals::default(),
-            tenant_stats: Vec::new(),
             agg: None,
         }
     }
@@ -230,12 +198,6 @@ impl ServeObs {
         &self.rec
     }
 
-    /// Request-fate tallies from the recorded lifecycle spans; all zero
-    /// until a simulation has run.
-    pub fn lifecycle_totals(&self) -> &LifecycleTotals {
-        &self.totals
-    }
-
     /// Writes the unified Perfetto/Chrome-trace timeline (open with
     /// `ui.perfetto.dev` or `chrome://tracing`). Timestamps are scaled
     /// from cycles to microseconds with the DRAM command clock.
@@ -251,9 +213,10 @@ impl ServeObs {
     /// Distills the trace into a deterministic [`ObsReport`] consistent
     /// with `report` (same run's [`ServeReport`]): per-channel busy/idle
     /// fractions and queue-depth percentiles come straight from the
-    /// report's channels, the lifecycle counts from the recorded request
-    /// lanes, and — when DRAM tracing was on — each channel's command
-    /// stream is attributed over the run's makespan.
+    /// report's channels, the per-tenant records (and their fate sums)
+    /// from the recorded request lanes, and — when DRAM tracing was on —
+    /// each channel's command stream is attributed over the run's
+    /// makespan.
     ///
     /// # Panics
     ///
@@ -270,42 +233,23 @@ impl ServeObs {
             .iter()
             .zip(&report.channels)
             .map(|(ct, cr)| ObsChannel {
-                busy_fraction: cr.utilization,
-                idle_fraction: 1.0 - cr.utilization,
-                depth_p50: cr.depth_p50,
-                depth_p99: cr.depth_p99,
-                depth_max: cr.depth_max,
-                dispatches: cr.dispatches,
-                queue_shed: cr.shed,
-                deadline_shed: cr.expired,
+                report: cr.clone(),
                 attribution: ct
                     .attr
                     .as_ref()
                     .map(|b| b.snapshot(report.makespan_cycles)),
             })
             .collect();
-        let tenants = self
-            .group_names
-            .iter()
-            .zip(&self.tenant_stats)
-            .map(|(name, s)| ObsTenant {
-                name: name.clone(),
-                completed: s.completed,
-                late: s.late,
-                queue_shed: s.queue_shed,
-                deadline_shed: s.deadline_shed,
-                time_in_queue: s.queue.clone(),
-                time_in_service: s.service.clone(),
-            })
-            .collect();
+        let tenants: Vec<TenantAggregate> = self.groups.iter().map(|g| g.tenant.clone()).collect();
+        let fates = |f: fn(&TenantAggregate) -> u64| tenants.iter().map(f).sum();
         ObsReport {
             name: report.name.clone(),
             requests: report.requests,
-            completed: self.totals.completed,
-            late: self.totals.late,
-            queue_shed: self.totals.queue_shed,
-            deadline_shed: self.totals.deadline_shed,
-            lifecycle_spans: self.totals.spans,
+            completed: fates(|t| t.completed),
+            late: fates(|t| t.late),
+            queue_shed: fates(|t| t.queue_shed),
+            deadline_shed: fates(|t| t.deadline_shed),
+            lifecycle_spans: self.spans,
             makespan_cycles: report.makespan_cycles,
             heap_capacity: self.rec.heap_capacity(),
             sinks: self.rec.sink_stats(),
@@ -326,9 +270,8 @@ impl ServeObs {
             self.groups.push(LaneGroup {
                 root,
                 lanes: Vec::new(),
+                tenant: TenantAggregate::new(g),
             });
-            self.group_names.push(g.clone());
-            self.tenant_stats.push(TenantStats::default());
         }
         for ch in 0..channels {
             let root = self.rec.track(&format!("channel {ch}"), None);
@@ -390,7 +333,10 @@ impl ServeObs {
 
     /// Records one request's lifecycle span on the first free lane of its
     /// tenant group (creating a lane when all are occupied), plus sorted
-    /// per-channel instants, and tallies the outcome.
+    /// per-channel instants, and folds it into the group's
+    /// [`TenantAggregate`] from exactly the evidence the trace records
+    /// (fate suffix + dispatch instants), so the report's tenant block and
+    /// `obs::agg`'s streamed aggregates agree by construction.
     pub(crate) fn request_span(
         &mut self,
         group: usize,
@@ -414,149 +360,30 @@ impl ServeObs {
         };
         self.rec.span(lane, name, start, end);
         debug_assert!(instants.windows(2).all(|w| w[0].0 <= w[1].0));
+        let mut dispatch: Option<(Cycle, Cycle)> = None;
         for (t, label) in instants {
             self.rec.instant(lane, label, *t);
+            if label.starts_with("dispatch") {
+                dispatch = Some((dispatch.map_or(*t, |(first, _)| first), *t));
+            }
         }
-        self.totals.spans += 1;
-        // Per-tenant accounting, derived from exactly the evidence the
-        // trace records (fate suffix + dispatch instants) so the report's
-        // tenant block and `obs::agg`'s streamed aggregates agree by
-        // construction.
+        self.spans += 1;
         if let Some(fate) = parse_fate(name) {
-            let stats = &mut self.tenant_stats[group];
-            match fate {
-                "completed" => stats.completed += 1,
-                "late" => stats.late += 1,
-                "queue-shed" => stats.queue_shed += 1,
-                _ => stats.deadline_shed += 1,
-            }
-            let mut first = None;
-            let mut last = None;
-            for (t, label) in instants {
-                if label.starts_with("dispatch") {
-                    first.get_or_insert(*t);
-                    last = Some(*t);
-                }
-            }
-            if let Some(fd) = first {
-                stats.queue.record(fd.saturating_sub(start));
-            }
-            if let Some(ld) = last {
-                stats.service.record(end.saturating_sub(ld));
-            }
-        }
-    }
-
-    /// Tallies one resolved request (called alongside
-    /// [`request_span`](Self::request_span)).
-    pub(crate) fn tally(&mut self, fate: RequestFate) {
-        match fate {
-            RequestFate::Completed => self.totals.completed += 1,
-            RequestFate::Late => self.totals.late += 1,
-            RequestFate::QueueShed => self.totals.queue_shed += 1,
-            RequestFate::DeadlineShed => self.totals.deadline_shed += 1,
+            g.tenant.record(fate, start, end, dispatch);
         }
     }
 }
 
-/// How one request's lifecycle resolved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RequestFate {
-    /// Completed by its deadline.
-    Completed,
-    /// Completed after its deadline.
-    Late,
-    /// Dropped by a full queue on some channel.
-    QueueShed,
-    /// Dropped by deadline shedding.
-    DeadlineShed,
-}
-
-impl RequestFate {
-    /// Lifecycle-span label.
-    pub(crate) fn label(self) -> &'static str {
-        match self {
-            RequestFate::Completed => "completed",
-            RequestFate::Late => "late",
-            RequestFate::QueueShed => "queue-shed",
-            RequestFate::DeadlineShed => "deadline-shed",
-        }
-    }
-}
-
-/// Per-channel slice of an [`ObsReport`].
+/// Per-channel slice of an [`ObsReport`]: the run's own channel
+/// statistics plus the DRAM attribution only a traced run has.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ObsChannel {
-    /// Fraction of the makespan the channel's server spent servicing.
-    pub busy_fraction: f64,
-    /// `1 - busy_fraction`.
-    pub idle_fraction: f64,
-    /// Median sampled queue depth (see
-    /// [`ChannelReport::depth_p50`](crate::report::ChannelReport::depth_p50)).
-    pub depth_p50: u64,
-    /// 99th-percentile sampled queue depth.
-    pub depth_p99: u64,
-    /// Maximum sampled queue depth.
-    pub depth_max: u64,
-    /// Batches dispatched.
-    pub dispatches: u64,
-    /// Requests shed at this channel's queue (admission tail-drop).
-    pub queue_shed: u64,
-    /// Requests shed at this channel by deadline shedding.
-    pub deadline_shed: u64,
+    /// The channel's [`ChannelReport`] from the run's [`ServeReport`]
+    /// (utilization, dispatches, sheds, queue-depth percentiles).
+    pub report: ChannelReport,
     /// DRAM-level bottleneck attribution over the run's makespan; `None`
     /// when DRAM tracing was off.
     pub attribution: Option<CommandAttribution>,
-}
-
-/// Per-tenant slice of an [`ObsReport`]: the four fate counters (which
-/// partition the tenant's requests exactly) and the time-in-queue /
-/// time-in-service histograms. Timing definitions match
-/// [`recross_obs::agg`]: time-in-queue is first dispatch minus arrival,
-/// time-in-service is lifecycle end minus last dispatch, and requests
-/// that never dispatched contribute to counters only.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ObsTenant {
-    /// Tenant class name (`requests` for single-class runs).
-    pub name: String,
-    /// Requests that completed by their deadline.
-    pub completed: u64,
-    /// Requests that completed after their deadline.
-    pub late: u64,
-    /// Requests dropped by a full queue.
-    pub queue_shed: u64,
-    /// Requests dropped by deadline shedding.
-    pub deadline_shed: u64,
-    /// First-dispatch minus arrival, per dispatched request (cycles).
-    pub time_in_queue: LatencyHistogram,
-    /// Lifecycle end minus last dispatch, per dispatched request
-    /// (cycles).
-    pub time_in_service: LatencyHistogram,
-}
-
-impl ObsTenant {
-    /// Total requests across the four fates.
-    pub fn requests(&self) -> u64 {
-        self.completed + self.late + self.queue_shed + self.deadline_shed
-    }
-
-    fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"name\":{},\"requests\":{},\"completed\":{},\"late\":{},",
-                "\"queue_shed\":{},\"deadline_shed\":{},",
-                "\"time_in_queue\":{},\"time_in_service\":{}}}"
-            ),
-            json_string(&self.name),
-            self.requests(),
-            self.completed,
-            self.late,
-            self.queue_shed,
-            self.deadline_shed,
-            self.time_in_queue.summary_json(),
-            self.time_in_service.summary_json()
-        )
-    }
 }
 
 /// Deterministic bottleneck-attribution summary of one traced serving
@@ -567,13 +394,13 @@ pub struct ObsReport {
     pub name: String,
     /// Requests offered.
     pub requests: u64,
-    /// Requests completed by their deadline.
+    /// Requests completed by their deadline (summed over `tenants`).
     pub completed: u64,
-    /// Requests completed after their deadline.
+    /// Requests completed after their deadline (summed over `tenants`).
     pub late: u64,
-    /// Requests dropped by a full queue.
+    /// Requests dropped by a full queue (summed over `tenants`).
     pub queue_shed: u64,
-    /// Requests dropped by deadline shedding.
+    /// Requests dropped by deadline shedding (summed over `tenants`).
     pub deadline_shed: u64,
     /// Request lifecycle spans recorded (one per request; the four fate
     /// counters partition it exactly).
@@ -583,9 +410,11 @@ pub struct ObsReport {
     /// Per-channel busy/idle split, queue-depth percentiles, and DRAM
     /// attribution.
     pub channels: Vec<ObsChannel>,
-    /// Per-tenant fate counters and queue/service histograms, in tenant
-    /// declaration order. Fate counters sum to `requests` across tenants.
-    pub tenants: Vec<ObsTenant>,
+    /// Per-tenant fate counters and time-in-queue / time-in-service
+    /// histograms, in tenant declaration order (`requests` for
+    /// single-class runs). Fate counters sum to `requests` across
+    /// tenants; timing definitions are [`recross_obs::agg`]'s.
+    pub tenants: Vec<TenantAggregate>,
     /// Recorder heap high-water mark in bytes (string table, track
     /// forest, and all attached sinks) at report time.
     pub heap_capacity: usize,
@@ -598,62 +427,63 @@ impl ObsReport {
     /// The report as a JSON object string (no trailing newline), with the
     /// workspace's deterministic float formatting.
     pub fn to_json(&self) -> String {
-        let channels: Vec<String> = self
-            .channels
-            .iter()
-            .map(|c| {
-                format!(
-                    concat!(
-                        "{{\"busy_fraction\":{},\"idle_fraction\":{},",
-                        "\"queue_depth\":{{\"p50\":{},\"p99\":{},\"max\":{}}},",
-                        "\"dispatches\":{},\"queue_shed\":{},\"deadline_shed\":{},",
-                        "\"dram\":{}}}"
-                    ),
-                    fmt_f64(c.busy_fraction),
-                    fmt_f64(c.idle_fraction),
-                    c.depth_p50,
-                    c.depth_p99,
-                    c.depth_max,
-                    c.dispatches,
-                    c.queue_shed,
-                    c.deadline_shed,
-                    c.attribution
-                        .as_ref()
-                        .map(|a| a.to_json())
-                        .unwrap_or_else(|| "null".to_string()),
-                )
-            })
-            .collect();
-        let tenants: Vec<String> = self.tenants.iter().map(|t| t.to_json()).collect();
-        let sinks: Vec<String> = self.sinks.iter().map(|s| s.to_json()).collect();
-        format!(
-            concat!(
-                "{{\"experiment\":\"serve_trace\",\"arch\":{},\"requests\":{},",
-                "\"completed\":{},\"late\":{},\"queue_shed\":{},\"deadline_shed\":{},",
-                "\"lifecycle_spans\":{},\"makespan_cycles\":{},",
-                "\"recorder\":{{\"heap_capacity\":{},\"sinks\":[{}]}},",
-                "\"tenants\":[{}],\"channels\":[{}]}}"
-            ),
-            json_string(&self.name),
-            self.requests,
-            self.completed,
-            self.late,
-            self.queue_shed,
-            self.deadline_shed,
-            self.lifecycle_spans,
-            self.makespan_cycles,
-            self.heap_capacity,
-            sinks.join(","),
-            tenants.join(","),
-            channels.join(","),
-        )
+        JsonWriter::build(|w| self.write_json(w))
+    }
+
+    /// Writes the [`to_json`](Self::to_json) object into `w`.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.obj(|w| {
+            w.field("experiment", "serve_trace");
+            w.field("arch", &self.name);
+            w.field("requests", self.requests);
+            w.field("completed", self.completed);
+            w.field("late", self.late);
+            w.field("queue_shed", self.queue_shed);
+            w.field("deadline_shed", self.deadline_shed);
+            w.field("lifecycle_spans", self.lifecycle_spans);
+            w.field("makespan_cycles", self.makespan_cycles);
+            w.key("recorder").obj(|w| {
+                w.field("heap_capacity", self.heap_capacity);
+                w.key("sinks").arr(|w| {
+                    for s in &self.sinks {
+                        s.write_json(w);
+                    }
+                });
+            });
+            w.key("tenants").arr(|w| {
+                for t in &self.tenants {
+                    t.write_json(w);
+                }
+            });
+            w.key("channels").arr(|w| {
+                for oc in &self.channels {
+                    let c = &oc.report;
+                    w.obj(|w| {
+                        w.field("busy_fraction", c.utilization);
+                        w.field("idle_fraction", 1.0 - c.utilization);
+                        w.key("queue_depth").obj(|w| {
+                            w.field("p50", c.depth_p50).field("p99", c.depth_p99);
+                            w.field("max", c.depth_max);
+                        });
+                        w.field("dispatches", c.dispatches);
+                        w.field("queue_shed", c.shed);
+                        w.field("deadline_shed", c.expired).key("dram");
+                        if let Some(a) = &oc.attribution {
+                            a.write_json(w);
+                        } else {
+                            w.null();
+                        }
+                    });
+                }
+            });
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::ChannelReport;
+    use recross_obs::hist::LatencyHistogram;
 
     /// Minimal ServeReport consistent with a hand-driven ServeObs.
     fn sample_report(channels: usize) -> ServeReport {
@@ -715,7 +545,7 @@ mod tests {
         obs.request_span(0, "req#1 completed", 50, 150, &[(60, "dispatch ch0".into())]);
         obs.request_span(0, "req#2 completed", 120, 200, &[]);
         assert_eq!(obs.groups[0].lanes.len(), 2);
-        assert_eq!(obs.lifecycle_totals().spans, 3);
+        assert_eq!(obs.spans, 3);
         assert_eq!(obs.recorder().validate(), Ok(()));
     }
 
@@ -731,24 +561,23 @@ mod tests {
             lifecycle_spans: 4,
             makespan_cycles: 1000,
             channels: vec![ObsChannel {
-                busy_fraction: 0.25,
-                idle_fraction: 0.75,
-                depth_p50: 1,
-                depth_p99: 3,
-                depth_max: 3,
-                dispatches: 2,
-                queue_shed: 1,
-                deadline_shed: 0,
+                report: ChannelReport {
+                    busy_cycles: 250,
+                    utilization: 0.25,
+                    dispatches: 2,
+                    shed: 1,
+                    expired: 0,
+                    depth_p50: 1,
+                    depth_p99: 3,
+                    depth_max: 3,
+                },
                 attribution: None,
             }],
-            tenants: vec![ObsTenant {
-                name: "requests".into(),
+            tenants: vec![TenantAggregate {
                 completed: 2,
                 late: 1,
                 queue_shed: 1,
-                deadline_shed: 0,
-                time_in_queue: LatencyHistogram::new(),
-                time_in_service: LatencyHistogram::new(),
+                ..TenantAggregate::new("requests")
             }],
             heap_capacity: 4096,
             sinks: vec![SinkStats {
@@ -781,8 +610,6 @@ mod tests {
         // service 60. Tenant 1: shed without ever dispatching.
         obs.request_span(0, "req#0 completed", 0, 100, &[(40, "dispatch ch0".into())]);
         obs.request_span(1, "req#1 queue-shed", 10, 10, &[]);
-        obs.tally(RequestFate::Completed);
-        obs.tally(RequestFate::QueueShed);
         let report = obs.obs_report(&sample_report(obs.channels.len()));
         assert_eq!(report.tenants.len(), 2);
         let rt = &report.tenants[0];

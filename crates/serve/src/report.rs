@@ -1,9 +1,10 @@
 //! Serving-run reports and their JSON form.
 //!
-//! Reports are emitted as hand-rolled JSON rather than via a serializer
-//! dependency; floats are formatted with Rust's shortest-roundtrip `{}`
-//! display, which is deterministic across platforms — two runs with the
-//! same seed produce byte-identical report files (checked in CI).
+//! Reports are emitted through `recross_obs`'s [`JsonWriter`] rather than
+//! a serializer dependency; floats are formatted with Rust's
+//! shortest-roundtrip `{}` display, which is deterministic across
+//! platforms — two runs with the same seed produce byte-identical report
+//! files (checked in CI).
 //!
 //! Multi-tenant runs add one [`TenantReport`] per traffic class, emitted
 //! under the `"tenants"` key in class-declaration order with the same
@@ -11,9 +12,9 @@
 
 use recross_dram::Cycle;
 use recross_nmp::session::SessionStats;
-use recross_obs::{fmt_f64, json_string};
+use recross_obs::hist::LatencyHistogram;
+use recross_obs::JsonWriter;
 
-use crate::hist::LatencyHistogram;
 use crate::tenant::TenantClass;
 
 /// Per-channel server statistics.
@@ -218,104 +219,100 @@ impl ServeReport {
 
     /// The report as a JSON object string (no trailing newline).
     pub fn to_json(&self) -> String {
-        let (p50, p90, p95, p99, p999) = self.latency.tail_summary();
-        let quant = |v: u64| format!("{{\"cycles\":{},\"us\":{}}}", v, fmt_f64(self.cycles_to_us(v)));
-        let channels: Vec<String> = self
-            .channels
-            .iter()
-            .map(|c| {
-                format!(
-                    concat!(
-                        "{{\"busy_cycles\":{},\"utilization\":{},\"dispatches\":{},",
-                        "\"shed\":{},\"expired\":{},",
-                        "\"depth\":{{\"p50\":{},\"p99\":{},\"max\":{}}}}}"
-                    ),
-                    c.busy_cycles,
-                    fmt_f64(c.utilization),
-                    c.dispatches,
-                    c.shed,
-                    c.expired,
-                    c.depth_p50,
-                    c.depth_p99,
-                    c.depth_max
-                )
-            })
-            .collect();
-        let tenants: Vec<String> = self
-            .tenants
-            .iter()
-            .enumerate()
-            .map(|(i, t)| {
-                let (tp50, _, _, tp99, _) = t.latency.tail_summary();
-                format!(
-                    concat!(
-                        "{{\"name\":{},\"priority\":{},\"share\":{},\"deadline_us\":{},",
-                        "\"requests\":{},\"completed\":{},\"missed\":{},",
-                        "\"queue_shed\":{},\"deadline_shed\":{},",
-                        "\"shed_rate\":{},\"deadline_miss_rate\":{},\"goodput_qps\":{},",
-                        "\"latency\":{{\"mean_us\":{},\"p50\":{},\"p99\":{},\"max\":{}}}}}"
-                    ),
-                    json_string(&t.name),
-                    json_string(t.priority),
-                    fmt_f64(t.share),
-                    fmt_f64(t.deadline_us),
-                    t.requests,
-                    t.completed,
-                    t.missed,
-                    t.queue_shed,
-                    t.deadline_shed,
-                    fmt_f64(t.shed_rate()),
-                    fmt_f64(t.deadline_miss_rate()),
-                    fmt_f64(self.tenant_goodput_qps(i)),
-                    fmt_f64(self.cycles_to_us(t.latency.mean().round() as u64)),
-                    quant(tp50),
-                    quant(tp99),
-                    quant(t.latency.max()),
-                )
-            })
-            .collect();
-        let depth: Vec<String> = self
-            .depth_series_sampled(64)
-            .iter()
-            .map(u64::to_string)
-            .collect();
-        format!(
-            concat!(
-                "{{\"arch\":{},\"offered_qps\":{},\"requests\":{},",
-                "\"completed\":{},\"shed\":{},\"shed_rate\":{},",
-                "\"goodput_qps\":{},\"makespan_ms\":{},",
-                "\"latency\":{{\"mean_us\":{},\"p50\":{},\"p90\":{},",
-                "\"p95\":{},\"p99\":{},\"p999\":{},\"max\":{}}},",
-                "\"queue_depth\":{{\"mean\":{},\"max\":{},\"series\":[{}]}},",
-                "\"service_cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"hit_rate\":{}}},",
-                "\"channels\":[{}],\"tenants\":[{}]}}"
-            ),
-            json_string(&self.name),
-            fmt_f64(self.offered_qps),
-            self.requests,
-            self.completed(),
-            self.shed,
-            fmt_f64(self.shed_rate()),
-            fmt_f64(self.goodput_qps()),
-            fmt_f64(self.makespan_cycles as f64 * 1e3 / self.cycles_per_sec),
-            fmt_f64(self.cycles_to_us(self.latency.mean().round() as u64)),
-            quant(p50),
-            quant(p90),
-            quant(p95),
-            quant(p99),
-            quant(p999),
-            quant(self.latency.max()),
-            fmt_f64(self.mean_depth()),
-            self.max_depth(),
-            depth.join(","),
-            self.service_cache.hits,
-            self.service_cache.misses,
-            self.service_cache.evictions,
-            fmt_f64(self.cache_hit_rate()),
-            channels.join(","),
-            tenants.join(",")
-        )
+        JsonWriter::build(|w| self.write_json(w))
     }
+
+    /// Writes the [`to_json`](Self::to_json) object into `w`.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        let quantile = |w: &mut JsonWriter, key: &str, v: u64| {
+            w.key(key).obj(|w| {
+                w.field("cycles", v).field("us", self.cycles_to_us(v));
+            });
+        };
+        let mean_us = |h: &LatencyHistogram| self.cycles_to_us(h.mean().round() as u64);
+        let (p50, p90, p95, p99, p999) = self.latency.tail_summary();
+        let makespan_ms = self.makespan_cycles as f64 * 1e3 / self.cycles_per_sec;
+        w.obj(|w| {
+            w.field("arch", &self.name);
+            w.field("offered_qps", self.offered_qps);
+            w.field("requests", self.requests);
+            w.field("completed", self.completed());
+            w.field("shed", self.shed);
+            w.field("shed_rate", self.shed_rate());
+            w.field("goodput_qps", self.goodput_qps());
+            w.field("makespan_ms", makespan_ms);
+            w.key("latency").obj(|w| {
+                w.field("mean_us", mean_us(&self.latency));
+                quantile(w, "p50", p50);
+                quantile(w, "p90", p90);
+                quantile(w, "p95", p95);
+                quantile(w, "p99", p99);
+                quantile(w, "p999", p999);
+                quantile(w, "max", self.latency.max());
+            });
+            w.key("queue_depth").obj(|w| {
+                w.field("mean", self.mean_depth());
+                w.field("max", self.max_depth());
+                w.key("series").arr(|w| {
+                    for d in self.depth_series_sampled(64) {
+                        w.value(d);
+                    }
+                });
+            });
+            w.key("service_cache");
+            write_cache(w, &self.service_cache, true);
+            w.key("channels").arr(|w| {
+                for c in &self.channels {
+                    w.obj(|w| {
+                        w.field("busy_cycles", c.busy_cycles);
+                        w.field("utilization", c.utilization);
+                        w.field("dispatches", c.dispatches).field("shed", c.shed);
+                        w.field("expired", c.expired);
+                        w.key("depth").obj(|w| {
+                            w.field("p50", c.depth_p50).field("p99", c.depth_p99);
+                            w.field("max", c.depth_max);
+                        });
+                    });
+                }
+            });
+            w.key("tenants").arr(|w| {
+                for (i, t) in self.tenants.iter().enumerate() {
+                    let (tp50, _, _, tp99, _) = t.latency.tail_summary();
+                    w.obj(|w| {
+                        w.field("name", &t.name).field("priority", t.priority);
+                        w.field("share", t.share);
+                        w.field("deadline_us", t.deadline_us);
+                        w.field("requests", t.requests);
+                        w.field("completed", t.completed);
+                        w.field("missed", t.missed);
+                        w.field("queue_shed", t.queue_shed);
+                        w.field("deadline_shed", t.deadline_shed);
+                        w.field("shed_rate", t.shed_rate());
+                        w.field("deadline_miss_rate", t.deadline_miss_rate());
+                        w.field("goodput_qps", self.tenant_goodput_qps(i));
+                        w.key("latency").obj(|w| {
+                            w.field("mean_us", mean_us(&t.latency));
+                            quantile(w, "p50", tp50);
+                            quantile(w, "p99", tp99);
+                            quantile(w, "max", t.latency.max());
+                        });
+                    });
+                }
+            });
+        });
+    }
+}
+
+/// Writes service-time memo cache counters as one object, with the
+/// derived hit rate when `hit_rate` is set.
+pub(crate) fn write_cache(w: &mut JsonWriter, s: &SessionStats, hit_rate: bool) {
+    w.obj(|w| {
+        w.field("hits", s.hits).field("misses", s.misses);
+        w.field("evictions", s.evictions);
+        if hit_rate {
+            w.field("hit_rate", s.hit_rate());
+        }
+    });
 }
 
 #[cfg(test)]
@@ -427,19 +424,6 @@ mod tests {
         assert!((r.tenant_goodput_qps(0) - 6000.0).abs() < 1e-9);
         assert_eq!(r.tenant_goodput_qps(9), 0.0);
         assert_eq!(json, r.clone().to_json(), "tenant JSON deterministic");
-    }
-
-    #[test]
-    fn float_formatting_is_json_safe() {
-        assert_eq!(fmt_f64(0.5), "0.5");
-        assert_eq!(fmt_f64(3.0), "3.0");
-        // `{}` Display expands rather than using scientific notation; the
-        // result must still round-trip exactly.
-        assert_eq!(fmt_f64(1e30).parse::<f64>().unwrap(), 1e30);
-        assert_eq!(fmt_f64(-2.5), "-2.5");
-        assert_eq!(fmt_f64(f64::NAN), "null");
-        assert_eq!(fmt_f64(f64::INFINITY), "null");
-        assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
     }
 
     #[test]

@@ -35,7 +35,7 @@ use recross_nmp::session::{ServiceSession, SessionStats};
 use recross_workload::{Batch, Trace};
 
 use crate::batch::{Batcher, BatcherConfig, QueuedJob};
-use crate::obs::{RequestFate, ServeObs};
+use crate::obs::ServeObs;
 use crate::report::{ChannelReport, ServeReport, TenantReport};
 use crate::tenant::{TenantMix, TenantRequest};
 
@@ -263,21 +263,20 @@ fn record_lifecycles(
             }
         }
         let fate = match done {
-            Some(d) if d <= req.deadline => RequestFate::Completed,
-            Some(_) => RequestFate::Late,
-            None if queue_shed => RequestFate::QueueShed,
-            None => RequestFate::DeadlineShed,
+            Some(d) if d <= req.deadline => "completed",
+            Some(_) => "late",
+            None if queue_shed => "queue-shed",
+            None => "deadline-shed",
         };
         instants.sort_by_key(|&(t, _)| t);
         let group = if mix.is_some() { req.tenant } else { 0 };
         obs.request_span(
             group,
-            &format!("req#{i} {}", fate.label()),
+            &format!("req#{i} {fate}"),
             req.arrival,
             end,
             &instants,
         );
-        obs.tally(fate);
     }
 }
 
@@ -465,7 +464,7 @@ impl ServeReport {
         outcomes: &[ChannelOutcome],
     ) -> ServeReport {
         let n = requests.len();
-        let mut hist = crate::hist::LatencyHistogram::new();
+        let mut hist = recross_obs::hist::LatencyHistogram::new();
         let mut tenants: Vec<TenantReport> = mix
             .map(|m| {
                 m.classes().iter().map(TenantReport::new).collect()
@@ -830,21 +829,24 @@ mod tests {
 
         // One lifecycle span per request; fates partition exactly and
         // agree with the report's own accounting.
-        let t = obs.lifecycle_totals();
-        assert_eq!(t.spans, traced.requests);
-        assert_eq!(t.completed + t.late + t.queue_shed + t.deadline_shed, t.spans);
-        assert_eq!(t.queue_shed + t.deadline_shed, traced.shed);
-        assert_eq!(t.completed, traced.tenants.iter().map(|x| x.completed).sum());
-        assert_eq!(t.late, traced.tenants.iter().map(|x| x.missed).sum());
-        assert_eq!(t.queue_shed, traced.tenants.iter().map(|x| x.queue_shed).sum());
+        let o = obs.obs_report(&traced);
+        assert_eq!(o.lifecycle_spans, traced.requests);
         assert_eq!(
-            t.deadline_shed,
+            o.completed + o.late + o.queue_shed + o.deadline_shed,
+            o.lifecycle_spans
+        );
+        assert_eq!(o.queue_shed + o.deadline_shed, traced.shed);
+        assert_eq!(o.completed, traced.tenants.iter().map(|x| x.completed).sum());
+        assert_eq!(o.late, traced.tenants.iter().map(|x| x.missed).sum());
+        assert_eq!(o.queue_shed, traced.tenants.iter().map(|x| x.queue_shed).sum());
+        assert_eq!(
+            o.deadline_shed,
             traced.tenants.iter().map(|x| x.deadline_shed).sum()
         );
         // This configuration exercises both drop paths and real traffic.
-        assert!(t.queue_shed > 0, "queue_depth=32 should tail-drop under overload");
-        assert!(t.deadline_shed > 0, "EDF shedding should fire");
-        assert!(t.completed > 0);
+        assert!(o.queue_shed > 0, "queue_depth=32 should tail-drop under overload");
+        assert!(o.deadline_shed > 0, "EDF shedding should fire");
+        assert!(o.completed > 0);
 
         // The timeline is well-formed and carries DRAM-level spans.
         assert_eq!(obs.recorder().validate(), Ok(()));
@@ -855,11 +857,9 @@ mod tests {
         assert!(perfetto.contains("cache "));
 
         // ObsReport is consistent with the ServeReport…
-        let summary = obs.obs_report(&traced);
-        assert_eq!(summary.requests, traced.requests);
-        for (oc, cr) in summary.channels.iter().zip(&traced.channels) {
-            assert_eq!(oc.busy_fraction, cr.utilization);
-            assert_eq!(oc.depth_max, cr.depth_max);
+        assert_eq!(o.requests, traced.requests);
+        for (oc, cr) in o.channels.iter().zip(&traced.channels) {
+            assert_eq!(&oc.report, cr);
             let a = oc.attribution.as_ref().expect("dram tracing on");
             // `from_commands` widens the window to the last command's
             // display end, so it can only meet or exceed the makespan.
@@ -870,7 +870,7 @@ mod tests {
         // …and both exports are byte-identical across reruns.
         let (traced2, obs2) = traced_run();
         assert_eq!(obs2.chrome_trace_string(), perfetto);
-        assert_eq!(obs2.obs_report(&traced2).to_json(), summary.to_json());
+        assert_eq!(obs2.obs_report(&traced2).to_json(), o.to_json());
     }
 
     /// Streaming export and online aggregation on a two-tenant EDF run:
@@ -924,22 +924,13 @@ mod tests {
         assert_eq!(live.to_json(), replayed.to_json());
 
         // The aggregation engine's view matches both the report and the
-        // ObsReport per-tenant blocks (same evidence, two consumers). The
-        // aggregate makespan tracks the last event's display end, which
-        // can only meet or exceed the report's makespan (DRAM command
-        // spans widen past the last completion, as with attribution).
+        // ObsReport per-tenant records (same evidence, one fold, two
+        // consumers). The aggregate makespan tracks the last event's
+        // display end, which can only meet or exceed the report's makespan
+        // (DRAM command spans widen past the last completion, as with
+        // attribution).
         assert!(live.makespan_cycles >= report.makespan_cycles);
-        let summary = obs.obs_report(&report);
-        assert_eq!(live.tenants.len(), summary.tenants.len());
-        for (a, t) in live.tenants.iter().zip(&summary.tenants) {
-            assert_eq!(a.name, t.name);
-            assert_eq!(a.completed, t.completed);
-            assert_eq!(a.late, t.late);
-            assert_eq!(a.queue_shed, t.queue_shed);
-            assert_eq!(a.deadline_shed, t.deadline_shed);
-            assert_eq!(a.time_in_queue, t.time_in_queue);
-            assert_eq!(a.time_in_service, t.time_in_service);
-        }
+        assert_eq!(live.tenants, obs.obs_report(&report).tenants);
         for (a, r) in live.tenants.iter().zip(&report.tenants) {
             assert_eq!(a.completed, r.completed);
             assert_eq!(a.late, r.missed);
@@ -971,8 +962,8 @@ mod tests {
             "CPU", &trace, &plan, &requests, None, cfg, cps, &mut sessions, Some(&mut obs),
         );
         assert_eq!(traced.to_json(), plain.to_json());
-        assert_eq!(obs.lifecycle_totals().spans, traced.requests);
         let summary = obs.obs_report(&traced);
+        assert_eq!(summary.lifecycle_spans, traced.requests);
         assert!(summary.channels.iter().all(|c| c.attribution.is_none()));
         assert!(!obs.chrome_trace_string().contains("bank 0"));
     }

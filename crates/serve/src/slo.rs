@@ -24,9 +24,9 @@
 
 use recross_nmp::session::SessionStats;
 
-use recross_obs::{fmt_f64, json_string};
+use recross_obs::JsonWriter;
 
-use crate::report::ServeReport;
+use crate::report::{write_cache, ServeReport};
 
 /// One evaluated rate of an SLO search.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,46 +71,28 @@ impl SloReport {
 
     /// The report as a JSON object string (no trailing newline).
     pub fn to_json(&self) -> String {
-        let probes: Vec<String> = self
-            .probes
-            .iter()
-            .map(|p| {
-                format!(
-                    concat!(
-                        "{{\"qps\":{},\"met\":{},\"p99_us\":{},\"shed\":{},",
-                        "\"cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{}}}}}"
-                    ),
-                    fmt_f64(p.qps),
-                    p.met,
-                    fmt_f64(p.p99_us),
-                    p.shed,
-                    p.cache.hits,
-                    p.cache.misses,
-                    p.cache.evictions
-                )
-            })
-            .collect();
-        let total = self.cache_total();
-        format!(
-            concat!(
-                "{{\"arch\":{},\"slo_p99_us\":{},",
-                "\"bracket_qps\":[{},{}],\"iterations\":{},",
-                "\"max_qps\":{},",
-                "\"service_cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"hit_rate\":{}}},",
-                "\"probes\":[{}]}}"
-            ),
-            json_string(&self.arch),
-            fmt_f64(self.slo_p99_us),
-            fmt_f64(self.bracket_lo_qps),
-            fmt_f64(self.bracket_hi_qps),
-            self.iterations,
-            fmt_f64(self.max_qps),
-            total.hits,
-            total.misses,
-            total.evictions,
-            fmt_f64(total.hit_rate()),
-            probes.join(",")
-        )
+        JsonWriter::build(|w| self.write_json(w))
+    }
+
+    /// Writes the [`to_json`](Self::to_json) object into `w`.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.obj(|w| {
+            w.field("arch", &self.arch);
+            w.field("slo_p99_us", self.slo_p99_us);
+            write_search(w, self.bracket_lo_qps, self.bracket_hi_qps, self.iterations);
+            w.field("max_qps", self.max_qps).key("service_cache");
+            write_cache(w, &self.cache_total(), true);
+            w.key("probes").arr(|w| {
+                for p in &self.probes {
+                    w.obj(|w| {
+                        w.field("qps", p.qps).field("met", p.met);
+                        w.field("p99_us", p.p99_us);
+                        w.field("shed", p.shed).key("cache");
+                        write_cache(w, &p.cache, false);
+                    });
+                }
+            });
+        });
     }
 }
 
@@ -173,58 +155,45 @@ impl TenantSloReport {
 
     /// The report as a JSON object string (no trailing newline).
     pub fn to_json(&self) -> String {
-        let probes: Vec<String> = self
-            .probes
-            .iter()
-            .map(|p| {
-                let tenants: Vec<String> = p
-                    .tenants
-                    .iter()
-                    .map(|t| {
-                        format!(
-                            concat!(
-                                "{{\"name\":{},\"met\":{},\"p99_us\":{},",
-                                "\"deadline_us\":{},\"queue_shed\":{},",
-                                "\"deadline_shed\":{},\"missed\":{}}}"
-                            ),
-                            json_string(&t.name),
-                            t.met,
-                            fmt_f64(t.p99_us),
-                            fmt_f64(t.deadline_us),
-                            t.queue_shed,
-                            t.deadline_shed,
-                            t.missed
-                        )
-                    })
-                    .collect();
-                format!(
-                    "{{\"qps\":{},\"met\":{},\"tenants\":[{}]}}",
-                    fmt_f64(p.qps),
-                    p.met,
-                    tenants.join(",")
-                )
-            })
-            .collect();
-        let total = self.cache_total();
-        format!(
-            concat!(
-                "{{\"arch\":{},\"bracket_qps\":[{},{}],\"iterations\":{},",
-                "\"max_qps\":{},",
-                "\"service_cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"hit_rate\":{}}},",
-                "\"probes\":[{}]}}"
-            ),
-            json_string(&self.arch),
-            fmt_f64(self.bracket_lo_qps),
-            fmt_f64(self.bracket_hi_qps),
-            self.iterations,
-            fmt_f64(self.max_qps),
-            total.hits,
-            total.misses,
-            total.evictions,
-            fmt_f64(total.hit_rate()),
-            probes.join(",")
-        )
+        JsonWriter::build(|w| self.write_json(w))
     }
+
+    /// Writes the [`to_json`](Self::to_json) object into `w`.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.obj(|w| {
+            w.field("arch", &self.arch);
+            write_search(w, self.bracket_lo_qps, self.bracket_hi_qps, self.iterations);
+            w.field("max_qps", self.max_qps).key("service_cache");
+            write_cache(w, &self.cache_total(), true);
+            w.key("probes").arr(|w| {
+                for p in &self.probes {
+                    w.obj(|w| {
+                        w.field("qps", p.qps).field("met", p.met);
+                        w.key("tenants").arr(|w| {
+                            for t in &p.tenants {
+                                w.obj(|w| {
+                                    w.field("name", &t.name).field("met", t.met);
+                                    w.field("p99_us", t.p99_us);
+                                    w.field("deadline_us", t.deadline_us);
+                                    w.field("queue_shed", t.queue_shed);
+                                    w.field("deadline_shed", t.deadline_shed);
+                                    w.field("missed", t.missed);
+                                });
+                            }
+                        });
+                    });
+                }
+            });
+        });
+    }
+}
+
+/// Writes the bisection bracket and iteration count both searches share.
+fn write_search(w: &mut JsonWriter, lo_qps: f64, hi_qps: f64, iterations: u32) {
+    w.key("bracket_qps").arr(|w| {
+        w.value(lo_qps).value(hi_qps);
+    });
+    w.field("iterations", iterations);
 }
 
 fn cache_sum<'a>(stats: impl Iterator<Item = &'a SessionStats>) -> SessionStats {
@@ -407,9 +376,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hist::LatencyHistogram;
     use crate::report::{ChannelReport, TenantReport};
     use crate::tenant::{Priority, TenantClass, TenantProcess};
+    use recross_obs::hist::LatencyHistogram;
 
     /// A fake serving run: p99 latency grows linearly with offered rate
     /// and the queue sheds past a hard capacity.

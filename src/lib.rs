@@ -70,7 +70,7 @@ pub use recross_workload as workload;
 pub mod prelude {
     pub use recross_dram::{Cycle, DramConfig};
     pub use recross_nmp::{
-        AccessProfile, ChannelPlan, CpuBaseline, EmbeddingAccelerator, Fafnir, MemoizedSession,
+        AccessProfile, ChannelPlan, CpuBaseline, EmbeddingAccelerator, MemoizedSession,
         RecNmp, RunReport, ServiceSession, SessionStats, TensorDimm, Trim,
     };
     pub use recross_serve::{

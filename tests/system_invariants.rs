@@ -5,7 +5,7 @@
 use recross_repro::dram::DramConfig;
 use recross_repro::nmp::accel::EmbeddingAccelerator;
 use recross_repro::nmp::multichannel::{run_multichannel, ChannelPlan};
-use recross_repro::nmp::{AccessProfile, CpuBaseline, Fafnir, RecNmp, TensorDimm, Trim};
+use recross_repro::nmp::{AccessProfile, CpuBaseline, RecNmp, TensorDimm, Trim};
 use recross_repro::recross::config::ReCrossConfig;
 use recross_repro::recross::engine::ReCross;
 use recross_repro::recross::profile::{analytic_profiles, empirical_profiles};
@@ -30,7 +30,6 @@ fn all_reports(trace: &Trace, g: &TraceGenerator) -> Vec<recross_repro::nmp::Run
             .with_profile(profile.clone())
             .run(trace),
         Trim::bank(d.clone()).with_profile(profile).run(trace),
-        Fafnir::new(d.clone()).run(trace),
     ];
     let mut rc =
         ReCross::new(ReCrossConfig::default_d(d), analytic_profiles(g), 4.0).expect("fits");
@@ -136,17 +135,6 @@ fn multichannel_recross_matches_golden() {
         let want = recross_repro::workload::model::reduce_trace(&sub);
         recross_repro::workload::model::assert_results_close(&got, &want, 1e-3);
     }
-}
-
-#[test]
-fn fafnir_slots_between_tensordimm_and_trim() {
-    let g = generator();
-    let trace = g.generate(45);
-    let r = all_reports(&trace, &g);
-    let by_name = |n: &str| r.iter().find(|x| x.name == n).unwrap().cycles;
-    // Rank-level FAFNIR cannot beat the in-chip TRiM levels.
-    assert!(by_name("FAFNIR") > by_name("TRiM-G"));
-    assert!(by_name("FAFNIR") > by_name("TRiM-B"));
 }
 
 #[test]
