@@ -137,7 +137,7 @@ fn bench_accelerators() {
     g.bench("trim_b", || Trim::bank(dram()).run(&trace).cycles);
     {
         let profiles = analytic_profiles(&gen);
-        let mut sys = ReCross::new(ReCrossConfig::default(), profiles, 2.0).expect("fits");
+        let sys = ReCross::new(ReCrossConfig::default(), profiles, 2.0).expect("fits");
         g.bench("recross", move || sys.run(&trace).cycles);
     }
 }
@@ -156,11 +156,11 @@ fn bench_ablations() {
         ("recross_base", ReCrossConfig::base(dram())),
     ] {
         let profiles = analytic_profiles(&gen);
-        let mut sys = ReCross::new(cfg, profiles, 2.0).expect("fits");
+        let sys = ReCross::new(cfg, profiles, 2.0).expect("fits");
         let t = &trace;
         g.bench(name, move || sys.run(t).cycles);
     }
-    let mut sys = Trim::bank(dram()).with_replication(0.0, 1);
+    let sys = Trim::bank(dram()).with_replication(0.0, 1);
     g.bench("trim_b_no_replication", move || sys.run(&trace).cycles);
 }
 

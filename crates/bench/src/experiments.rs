@@ -13,6 +13,7 @@ use recross::RegionMap;
 use recross_dram::controller::{BusScope, Controller, ReadRequest, SchedulePolicy};
 use recross_dram::{DramConfig, PhysAddr};
 use recross_nmp::accel::{EmbeddingAccelerator, RunReport};
+use recross_nmp::engine::{execute, LookupPlan, PlacedRead};
 use recross_nmp::layout::TableLayout;
 use recross_nmp::{
     internal_bandwidth, AccessProfile, AreaModel, AreaReport, CpuBaseline, RecNmp, TensorDimm, Trim,
@@ -46,7 +47,7 @@ pub fn run_all(g: &TraceGenerator, trace: &Trace, dram_cfg: &DramConfig) -> Vec<
     );
     let mut cfg = ReCrossConfig::default_d(dram_cfg.clone());
     cfg.name = "ReCross".to_owned();
-    let mut rc = ReCross::new(cfg, profiles, batch).expect("placement fits");
+    let rc = ReCross::new(cfg, profiles, batch).expect("placement fits");
     out.push(rc.run(trace));
     out
 }
@@ -307,7 +308,7 @@ pub fn fig12_ablation(scale: Scale) -> Vec<(String, f64)> {
         .into_iter()
         .map(|(name, cfg)| {
             let profiles = analytic_profiles(&g);
-            let mut sys = ReCross::new(cfg, profiles, batch).expect("fits");
+            let sys = ReCross::new(cfg, profiles, batch).expect("fits");
             let r = sys.run(&trace);
             (name.to_owned(), cpu.ns / r.ns)
         })
@@ -340,11 +341,11 @@ pub fn fig13_bwp_imbalance(scale: Scale) -> Vec<(String, f64)> {
     ));
     let mut naive_cfg = ReCrossConfig::default_d(d.clone()).without_bwp();
     naive_cfg.name = "ReCross w/o BWP".to_owned();
-    let mut sys = ReCross::new(naive_cfg, analytic_profiles(&g), batch).expect("fits");
+    let sys = ReCross::new(naive_cfg, analytic_profiles(&g), batch).expect("fits");
     rows.push(("ReCross w/o BWP".to_owned(), sys.run(&trace).imbalance.mean));
     let mut full_cfg = ReCrossConfig::default_d(d);
     full_cfg.name = "ReCross".to_owned();
-    let mut sys = ReCross::new(full_cfg, analytic_profiles(&g), batch).expect("fits");
+    let sys = ReCross::new(full_cfg, analytic_profiles(&g), batch).expect("fits");
     rows.push(("ReCross".to_owned(), sys.run(&trace).imbalance.mean));
     rows
 }
@@ -363,7 +364,7 @@ pub fn fig14_configurations(scale: Scale) -> Vec<(String, f64, f64, f64)> {
             let name = cfg.name.clone();
             let area = area_model.recross(cfg.bg_pes_per_rank, cfg.bank_pes_per_rank);
             let profiles = analytic_profiles(&g);
-            let mut sys = ReCross::new(cfg, profiles, batch).expect("fits");
+            let sys = ReCross::new(cfg, profiles, batch).expect("fits");
             let r = sys.run(&trace);
             let speedup = cpu.ns / r.ns;
             let eff = area_model.area_efficiency(speedup, &area);
@@ -515,73 +516,61 @@ pub fn ddr4_sensitivity(scale: Scale) -> Vec<(String, f64)> {
 /// cold-landing policy that only shows under training-heavy loads.
 pub fn training_updates(scale: Scale) -> Vec<(String, f64, u64, u64, f64)> {
     use recross::config::Region;
-    use recross_nmp::engine::{execute, EngineConfig, LookupPlan};
 
     let (g, trace) = standard_trace(scale, 64);
     let d = dram();
     let batch = g.batch_size_value() as f64;
-    let fractions = [0.1f64, 0.5, 1.0];
-    let mut rows = Vec::new();
 
     // TRiM-B: write-back in place (closed page).
-    {
-        let profile = AccessProfile::from_trace(&trace);
-        let trim = Trim::bank(d.clone()).with_profile(profile);
-        let inference_plans = trim.plans(&trace);
-        let cfg = EngineConfig::nmp("TRiM-B", d.clone(), 64);
-        let inf = execute(&cfg, &trace, &inference_plans);
-        for &frac in &fractions {
-            let mut counter = 0u64;
-            let training_plans: Vec<LookupPlan> = inference_plans
-                .iter()
-                .map(|p| {
-                    let mut p = p.clone();
-                    let mut writes: Vec<_> = p
-                        .reads
-                        .iter()
-                        .filter(|_| {
-                            counter += 1;
-                            (counter as f64 * frac).fract() + frac >= 1.0
-                        })
-                        .map(|r| {
-                            let mut w = *r;
-                            w.write = true;
-                            w
-                        })
-                        .collect();
-                    p.reads.append(&mut writes);
-                    p
-                })
-                .collect();
-            let tr = execute(&cfg, &trace, &training_plans);
-            rows.push((
-                "TRiM-B".to_owned(),
-                frac,
-                inf.cycles,
-                tr.cycles,
-                tr.cycles as f64 / inf.cycles as f64,
-            ));
-        }
-    }
+    let trim = Trim::bank(d.clone()).with_profile(AccessProfile::from_trace(&trace));
+    let mut rows = write_back_rows("TRiM-B", &trim, &trace, |_, r| PlacedRead {
+        write: true,
+        ..*r
+    });
 
     // ReCross: updates written to the R-region (cold, §4.5).
-    {
-        let profiles = analytic_profiles(&g);
-        let rc = ReCross::new(ReCrossConfig::default_d(d.clone()), profiles, batch).expect("fits");
-        let inference_plans = rc.plans_for_test(&trace);
-        let map = rc.placement().region_map();
-        let r_slots = map.vector_slots(Region::R, 256);
-        let mut engine_cfg = EngineConfig::nmp("ReCross", d.clone(), rc.num_nodes_for_test());
-        engine_cfg.policy = recross_dram::SchedulePolicy::LocalityAware;
-        let inf = execute(&engine_cfg, &trace, &inference_plans);
-        for &frac in &fractions {
-            let mut seq = 0u64;
+    let rc = ReCross::new(ReCrossConfig::default_d(d), analytic_profiles(&g), batch).expect("fits");
+    let map = rc.placement().region_map();
+    let r_slots = map.vector_slots(Region::R, 256);
+    rows.extend(write_back_rows("ReCross", &rc, &trace, |seq, r| {
+        // Cold landing slot in the R-region, from the top.
+        let addr = map.slot_addr(Region::R, r_slots - 1 - (seq % (r_slots / 2)), 256);
+        PlacedRead {
+            addr,
+            dest: BusScope::Rank,
+            salp: false,
+            auto_precharge: false,
+            write: true,
+            node: addr.rank as usize,
+            ..*r
+        }
+    }));
+    rows
+}
+
+/// One architecture's [`training_updates`] rows: its inference plans
+/// re-priced with each update fraction of the reads also written back.
+/// `land` places a write, given its 1-based sequence number within the
+/// fraction and the read it updates.
+fn write_back_rows(
+    name: &str,
+    accel: &dyn EmbeddingAccelerator,
+    trace: &Trace,
+    land: impl Fn(u64, &PlacedRead) -> PlacedRead,
+) -> Vec<(String, f64, u64, u64, f64)> {
+    let cfg = accel.engine_config();
+    let inference = accel.prepare(&trace.tables).plans(trace);
+    let inf = execute(&cfg, trace, &inference).cycles;
+    [0.1f64, 0.5, 1.0]
+        .into_iter()
+        .map(|frac| {
             let mut counter = 0u64;
-            let training_plans: Vec<LookupPlan> = inference_plans
+            let mut seq = 0u64;
+            let training: Vec<LookupPlan> = inference
                 .iter()
                 .map(|p| {
                     let mut p = p.clone();
-                    let mut writes: Vec<_> = p
+                    let mut writes: Vec<PlacedRead> = p
                         .reads
                         .iter()
                         .filter(|_| {
@@ -589,34 +578,18 @@ pub fn training_updates(scale: Scale) -> Vec<(String, f64, u64, u64, f64)> {
                             (counter as f64 * frac).fract() + frac >= 1.0
                         })
                         .map(|r| {
-                            let mut w = *r;
-                            // Cold landing slot in the R-region, from the top.
                             seq += 1;
-                            w.addr =
-                                map.slot_addr(Region::R, r_slots - 1 - (seq % (r_slots / 2)), 256);
-                            w.dest = recross_dram::controller::BusScope::Rank;
-                            w.salp = false;
-                            w.auto_precharge = false;
-                            w.write = true;
-                            w.node = w.addr.rank as usize;
-                            w
+                            land(seq, r)
                         })
                         .collect();
                     p.reads.append(&mut writes);
                     p
                 })
                 .collect();
-            let tr = execute(&engine_cfg, &trace, &training_plans);
-            rows.push((
-                "ReCross".to_owned(),
-                frac,
-                inf.cycles,
-                tr.cycles,
-                tr.cycles as f64 / inf.cycles as f64,
-            ));
-        }
-    }
-    rows
+            let tr = execute(&cfg, trace, &training).cycles;
+            (name.to_owned(), frac, inf, tr, tr as f64 / inf as f64)
+        })
+        .collect()
 }
 
 /// Region split of the default config (used by `repro table2` and sanity

@@ -9,12 +9,13 @@
 //! channel — the mixed-destination controller of `recross-dram` models
 //! exactly that.
 
+use std::sync::Arc;
+
 use recross_dram::controller::{BusScope, SchedulePolicy};
-use recross_nmp::accel::{EmbeddingAccelerator, RunReport};
-use recross_nmp::engine::{execute, EngineConfig, LookupPlan, PlacedRead};
-use recross_nmp::session::{MemoizedSession, ServiceSession};
+use recross_nmp::accel::{EmbeddingAccelerator, Planner};
+use recross_nmp::engine::{EngineConfig, LookupPlan, PlacedRead};
 use recross_workload::model::embedding_value;
-use recross_workload::{Batch, EmbeddingTableSpec, Trace};
+use recross_workload::{EmbeddingTableSpec, Trace};
 
 use crate::config::{ReCrossConfig, Region};
 use crate::partition::{
@@ -27,14 +28,37 @@ use crate::replication::HotReplicas;
 
 /// The assembled ReCross system.
 ///
-/// `Clone` deep-copies the resolved placement state, which is what lets
-/// [`open_session`](EmbeddingAccelerator::open_session) hand out
-/// self-contained serving sessions without re-solving the partition LP.
+/// The resolved profiles and placement sit behind [`Arc`]s, so `Clone` is
+/// cheap and shares them: [`prepare`](EmbeddingAccelerator::prepare) hands
+/// out a self-contained planner — for a whole-trace run or a serving
+/// session — without copying them or re-solving the partition LP.
 #[derive(Debug, Clone)]
 pub struct ReCross {
     cfg: ReCrossConfig,
-    profiles: Vec<TableProfile>,
-    placement: Placement,
+    profiles: Arc<Vec<TableProfile>>,
+    placement: Arc<Placement>,
+}
+
+/// The placement step: profiles → partition (BWP or naive per `cfg`) →
+/// placement.
+fn place(
+    cfg: &ReCrossConfig,
+    profiles: &[TableProfile],
+    batch: f64,
+) -> Result<Placement, PartitionError> {
+    let map = RegionMap::new(cfg);
+    let max_vec = profiles
+        .iter()
+        .map(|p| p.spec.vector_bytes() as u32)
+        .max()
+        .unwrap_or(256);
+    let bw = RegionBandwidth::from_map(&map, &cfg.dram, max_vec, cfg.sap);
+    let decision = if cfg.bwp {
+        bandwidth_aware_partition(profiles, &map, &bw, batch, cfg.pwl_segments)?
+    } else {
+        naive_partition(profiles, &map)
+    };
+    Ok(Placement::new(profiles, decision, map))
 }
 
 impl ReCross {
@@ -53,23 +77,11 @@ impl ReCross {
         batch: f64,
     ) -> Result<Self, PartitionError> {
         cfg.validate();
-        let map = RegionMap::new(&cfg);
-        let max_vec = profiles
-            .iter()
-            .map(|p| p.spec.vector_bytes() as u32)
-            .max()
-            .unwrap_or(256);
-        let bw = RegionBandwidth::from_map(&map, &cfg.dram, max_vec, cfg.sap);
-        let decision = if cfg.bwp {
-            bandwidth_aware_partition(&profiles, &map, &bw, batch, cfg.pwl_segments)?
-        } else {
-            naive_partition(&profiles, &map)
-        };
-        let placement = Placement::new(&profiles, decision, map);
+        let placement = place(&cfg, &profiles, batch)?;
         Ok(Self {
             cfg,
-            profiles,
-            placement,
+            profiles: Arc::new(profiles),
+            placement: Arc::new(placement),
         })
     }
 
@@ -81,11 +93,6 @@ impl ReCross {
     /// The placement (for inspection / experiments).
     pub fn placement(&self) -> &Placement {
         &self.placement
-    }
-
-    /// Replaces the placement (used by the dynamic re-scheduler).
-    pub(crate) fn set_placement(&mut self, placement: Placement) {
-        self.placement = placement;
     }
 
     /// Re-partitions and re-places from fresh profiles — the §4.5 response
@@ -100,21 +107,8 @@ impl ReCross {
         profiles: Vec<TableProfile>,
         batch: f64,
     ) -> Result<(), PartitionError> {
-        let map = RegionMap::new(&self.cfg);
-        let max_vec = profiles
-            .iter()
-            .map(|p| p.spec.vector_bytes() as u32)
-            .max()
-            .unwrap_or(256);
-        let bw = RegionBandwidth::from_map(&map, &self.cfg.dram, max_vec, self.cfg.sap);
-        let decision = if self.cfg.bwp {
-            bandwidth_aware_partition(&profiles, &map, &bw, batch, self.cfg.pwl_segments)?
-        } else {
-            naive_partition(&profiles, &map)
-        };
-        let placement = Placement::new(&profiles, decision, map);
-        self.profiles = profiles;
-        self.set_placement(placement);
+        self.placement = Arc::new(place(&self.cfg, &profiles, batch)?);
+        self.profiles = Arc::new(profiles);
         Ok(())
     }
 
@@ -152,6 +146,53 @@ impl ReCross {
         }
     }
 
+    /// The lookup plans for a trace (exposed for the benchmark harness).
+    pub fn plans_for_test(&self, trace: &Trace) -> Vec<LookupPlan> {
+        self.plans(trace)
+    }
+
+    /// Bandwidth weight of each PE node, in bytes/cycle. ReCross nodes are
+    /// heterogeneous by design — a B node is *supposed* to carry more
+    /// lookups than a rank PE — so the engine's imbalance metric weighs
+    /// each node by its bandwidth.
+    fn node_weights(&self) -> Vec<f64> {
+        let t = &self.cfg.dram.topology;
+        let tm = &self.cfg.dram.timing;
+        let burst = f64::from(t.burst_bytes);
+        let mut w = Vec::with_capacity(self.num_nodes());
+        // Rank PEs: the rank-shared I/O cadence.
+        for _ in 0..t.ranks {
+            w.push(burst / tm.t_ccd_s as f64);
+        }
+        // Bank-group PEs: the bank-group I/O cadence.
+        for _ in 0..(t.ranks * self.cfg.bg_pes_per_rank) {
+            w.push(burst / tm.t_ccd_l as f64);
+        }
+        // Bank PEs: the bank column cadence (bypassing the BG I/O).
+        for _ in 0..(t.ranks * self.cfg.bank_pes_per_rank) {
+            w.push(burst / tm.t_ccd_s as f64);
+        }
+        w
+    }
+
+    /// Per-region lookup counts of a trace under the current placement —
+    /// the data behind the region-load sanity checks.
+    pub fn region_lookup_counts(&self, trace: &Trace) -> [u64; 3] {
+        let mut counts = [0u64; 3];
+        for op in trace.iter_ops() {
+            for &row in &op.indices {
+                let rank = self.profiles[op.table].order.rank_of(row);
+                let region = self.placement.region_of_rank(op.table, rank);
+                counts[region.index()] += 1;
+            }
+        }
+        counts
+    }
+}
+
+impl Planner for ReCross {
+    /// Each lookup goes to the region owning its popularity rank (or to a
+    /// hot replica), reduced by that region's PE.
     fn plans(&self, trace: &Trace) -> Vec<LookupPlan> {
         let burst_bytes = self.cfg.dram.topology.burst_bytes;
         let mut replicas = self.cfg.hot_replication.map(|(per_table, copies)| {
@@ -189,99 +230,6 @@ impl ReCross {
         }
         plans
     }
-
-    /// The lookup plans for a trace (exposed for the benchmark harness).
-    pub fn plans_for_test(&self, trace: &Trace) -> Vec<LookupPlan> {
-        self.plans(trace)
-    }
-
-    /// Unified PE-node count (exposed for the benchmark harness).
-    pub fn num_nodes_for_test(&self) -> usize {
-        self.num_nodes()
-    }
-
-    /// Bandwidth weight of each PE node, in bytes/cycle.
-    fn node_weights(&self) -> Vec<f64> {
-        let t = &self.cfg.dram.topology;
-        let tm = &self.cfg.dram.timing;
-        let burst = f64::from(t.burst_bytes);
-        let mut w = Vec::with_capacity(self.num_nodes());
-        // Rank PEs: the rank-shared I/O cadence.
-        for _ in 0..t.ranks {
-            w.push(burst / tm.t_ccd_s as f64);
-        }
-        // Bank-group PEs: the bank-group I/O cadence.
-        for _ in 0..(t.ranks * self.cfg.bg_pes_per_rank) {
-            w.push(burst / tm.t_ccd_l as f64);
-        }
-        // Bank PEs: the bank column cadence (bypassing the BG I/O).
-        for _ in 0..(t.ranks * self.cfg.bank_pes_per_rank) {
-            w.push(burst / tm.t_ccd_s as f64);
-        }
-        w
-    }
-
-    /// Per-op load-imbalance summary with bandwidth-weighted node shares:
-    /// `ratio = max_n(load_n / w_n) / (Σ load / Σ w)`.
-    fn weighted_imbalance(
-        &self,
-        trace: &Trace,
-        plans: &[LookupPlan],
-    ) -> recross_workload::stats::ImbalanceSummary {
-        let weights = self.node_weights();
-        let total_w: f64 = weights.iter().sum();
-        let num_ops = trace.ops();
-        let mut loads = vec![std::collections::HashMap::<usize, u64>::new(); num_ops];
-        for plan in plans {
-            for r in &plan.reads {
-                *loads[plan.op].entry(r.node).or_insert(0) += 1;
-            }
-        }
-        let ratios: Vec<f64> = loads
-            .iter()
-            .map(|m| {
-                let total: u64 = m.values().sum();
-                if total == 0 {
-                    return 0.0;
-                }
-                let ideal = total as f64 / total_w;
-                m.iter()
-                    .map(|(&n, &c)| c as f64 / weights[n] / ideal)
-                    .fold(0.0, f64::max)
-            })
-            .collect();
-        recross_workload::stats::ImbalanceSummary::from_ratios(&ratios)
-    }
-
-    /// Per-region lookup counts of a trace under the current placement —
-    /// the data behind the region-load sanity checks.
-    pub fn region_lookup_counts(&self, trace: &Trace) -> [u64; 3] {
-        let mut counts = [0u64; 3];
-        for op in trace.iter_ops() {
-            for &row in &op.indices {
-                let rank = self.profiles[op.table].order.rank_of(row);
-                let region = self.placement.region_of_rank(op.table, rank);
-                counts[region.index()] += 1;
-            }
-        }
-        counts
-    }
-}
-
-impl ReCross {
-    /// The engine configuration shared by the offline and serving paths.
-    fn engine_config(&self) -> EngineConfig {
-        let mut engine_cfg =
-            EngineConfig::nmp(&self.cfg.name, self.cfg.dram.clone(), self.num_nodes());
-        engine_cfg.policy = if self.cfg.las {
-            SchedulePolicy::LocalityAware
-        } else {
-            SchedulePolicy::FrFcfs
-        };
-        engine_cfg.two_stage_inst = self.cfg.two_stage_inst;
-        engine_cfg.reduction = self.cfg.reduction;
-        engine_cfg
-    }
 }
 
 impl EmbeddingAccelerator for ReCross {
@@ -289,19 +237,38 @@ impl EmbeddingAccelerator for ReCross {
         &self.cfg.name
     }
 
-    fn run(&mut self, trace: &Trace) -> RunReport {
-        let plans = self.plans(trace);
-        let engine_cfg = self.engine_config();
-        let mut report = execute(&engine_cfg, trace, &plans);
-        // ReCross nodes are heterogeneous by design: the imbalance metric
-        // must weight each PE by its bandwidth (a B node is *supposed* to
-        // carry more lookups than a rank PE). Replace the engine's
-        // homogeneous summary with the weighted one.
-        report.imbalance = self.weighted_imbalance(trace, &plans);
-        report
+    fn engine_config(&self) -> EngineConfig {
+        EngineConfig {
+            node_weights: self.node_weights(),
+            policy: if self.cfg.las {
+                SchedulePolicy::LocalityAware
+            } else {
+                SchedulePolicy::FrFcfs
+            },
+            two_stage_inst: self.cfg.two_stage_inst,
+            reduction: self.cfg.reduction,
+            ..EngineConfig::nmp(&self.cfg.name, self.cfg.dram.clone(), 0)
+        }
     }
 
-    fn compute_results(&mut self, trace: &Trace) -> Vec<Vec<f32>> {
+    /// The placement is already resolved in `self`; the planner shares it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tables` differ from the profiled table universe.
+    fn prepare(&self, tables: &[EmbeddingTableSpec]) -> Box<dyn Planner> {
+        assert_eq!(
+            tables.len(),
+            self.profiles.len(),
+            "tables must match the profiled table universe"
+        );
+        for (t, p) in tables.iter().zip(self.profiles.iter()) {
+            assert_eq!(*t, p.spec, "table spec differs from profile");
+        }
+        Box::new(self.clone())
+    }
+
+    fn compute_results(&self, trace: &Trace) -> Vec<Vec<f32>> {
         // Faithfully reproduce the datapath's reduction order: per-PE
         // partial sums (in lookup order within each PE), folded by the rank
         // summarizer in node order. FP addition is not associative, so this
@@ -333,36 +300,6 @@ impl EmbeddingAccelerator for ReCross {
             })
             .collect()
     }
-
-    fn open_session(&self, tables: &[EmbeddingTableSpec]) -> Box<dyn ServiceSession> {
-        assert_eq!(
-            tables.len(),
-            self.profiles.len(),
-            "session tables must match the profiled table universe"
-        );
-        for (t, p) in tables.iter().zip(&self.profiles) {
-            assert_eq!(*t, p.spec, "session table spec differs from profile");
-        }
-        // The expensive state — partition LP solution, placement mapping
-        // tables, region carve-out — is already resolved in `self`; the
-        // session deep-copies it once and reuses it for every batch.
-        let system = self.clone();
-        let mut engine_cfg = self.engine_config();
-        let mut trace = Trace {
-            tables: tables.to_vec(),
-            batches: Vec::new(),
-        };
-        Box::new(MemoizedSession::new(
-            self.cfg.name.clone(),
-            Box::new(move |batch: &Batch, traced: bool| {
-                trace.batches.clear();
-                trace.batches.push(batch.clone());
-                engine_cfg.trace_commands = traced;
-                let plans = system.plans(&trace);
-                execute(&engine_cfg, &trace, &plans).into()
-            }),
-        ))
-    }
 }
 
 #[cfg(test)]
@@ -387,7 +324,7 @@ mod tests {
 
     #[test]
     fn runs_a_trace() {
-        let (mut rc, trace) = system();
+        let (rc, trace) = system();
         let r = rc.run(&trace);
         assert_eq!(r.lookups as usize, trace.lookups());
         assert!(r.cycles > 0);
@@ -409,7 +346,7 @@ mod tests {
 
     #[test]
     fn results_match_golden_within_reassociation() {
-        let (mut rc, trace) = system();
+        let (rc, trace) = system();
         let got = rc.compute_results(&trace);
         let want = recross_workload::model::reduce_trace(&trace);
         recross_workload::model::assert_results_close(&got, &want, 1e-3);
@@ -469,8 +406,8 @@ mod tests {
             .pooling(40);
         let trace = g.generate(17);
         let profiles = analytic_profiles(&g);
-        let mut plain = ReCross::new(ReCrossConfig::default(), profiles.clone(), 8.0).unwrap();
-        let mut replicated = ReCross::new(
+        let plain = ReCross::new(ReCrossConfig::default(), profiles.clone(), 8.0).unwrap();
+        let replicated = ReCross::new(
             ReCrossConfig::default().with_hot_replication(8, 8),
             profiles,
             8.0,
@@ -498,7 +435,7 @@ mod tests {
         let g = generator().batches(2);
         let trace = g.generate(5);
         let profiles = analytic_profiles(&g);
-        let mut rc = ReCross::new(ReCrossConfig::default(), profiles, 4.0).unwrap();
+        let rc = ReCross::new(ReCrossConfig::default(), profiles, 4.0).unwrap();
         let mut session = rc.open_session(&trace.tables);
         for batch in &trace.batches {
             let single = Trace {
@@ -519,10 +456,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "session tables must match")]
+    #[should_panic(expected = "tables must match the profiled table universe")]
     fn session_rejects_mismatched_tables() {
         let (rc, trace) = system();
-        let _ = rc.open_session(&trace.tables[..1]);
+        let mismatched = Trace {
+            tables: trace.tables[..1].to_vec(),
+            batches: Vec::new(),
+        };
+        let run = std::panic::catch_unwind(|| rc.run(&mismatched))
+            .expect_err("run must reject tables that differ from the profiles");
+        assert!(
+            run.downcast_ref::<String>()
+                .is_some_and(|m| m.contains("tables must match the profiled table universe")),
+            "run panicked for another reason"
+        );
+        let _ = rc.open_session(&mismatched.tables);
     }
 
     #[test]
@@ -532,7 +480,7 @@ mod tests {
         for cfg in ReCrossConfig::exploration_set(recross_dram::DramConfig::ddr5_4800()) {
             let profiles = analytic_profiles(&g);
             let name = cfg.name.clone();
-            let mut rc = ReCross::new(cfg, profiles, 4.0).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let rc = ReCross::new(cfg, profiles, 4.0).unwrap_or_else(|e| panic!("{name}: {e}"));
             let r = rc.run(&trace);
             assert!(r.cycles > 0, "{name}");
         }

@@ -20,7 +20,6 @@ use crate::config::Cycle;
 #[derive(Debug, Clone)]
 pub struct BusSet {
     busy_until: Vec<Cycle>,
-    busy_total: Vec<Cycle>,
 }
 
 impl BusSet {
@@ -33,7 +32,6 @@ impl BusSet {
         assert!(n > 0, "need at least one bus");
         Self {
             busy_until: vec![0; n],
-            busy_total: vec![0; n],
         }
     }
 
@@ -66,26 +64,11 @@ impl BusSet {
             self.busy_until[i]
         );
         self.busy_until[i] = start + duration;
-        self.busy_total[i] += duration;
     }
 
     /// Busy-until time of bus `i`.
     pub fn busy_until(&self, i: usize) -> Cycle {
         self.busy_until[i]
-    }
-
-    /// Total busy cycles accumulated on bus `i`.
-    pub fn busy_total(&self, i: usize) -> Cycle {
-        self.busy_total[i]
-    }
-
-    /// Utilization of bus `i` over a run of `duration` cycles, in `[0, 1]`.
-    pub fn utilization(&self, i: usize, duration: Cycle) -> f64 {
-        if duration == 0 {
-            0.0
-        } else {
-            self.busy_total[i] as f64 / duration as f64
-        }
     }
 }
 
@@ -161,16 +144,6 @@ mod tests {
         let mut b = BusSet::new(1);
         b.reserve(0, 0, 10);
         b.reserve(0, 5, 1);
-    }
-
-    #[test]
-    fn utilization_accumulates() {
-        let mut b = BusSet::new(1);
-        b.reserve(0, 0, 8);
-        b.reserve(0, 100, 8);
-        assert_eq!(b.busy_total(0), 16);
-        assert!((b.utilization(0, 160) - 0.1).abs() < 1e-12);
-        assert_eq!(b.utilization(0, 0), 0.0);
     }
 
     #[test]

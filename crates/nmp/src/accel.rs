@@ -1,10 +1,12 @@
-//! The accelerator interface and run reports.
+//! The accelerator interface, its planner, and run reports.
 
 use recross_dram::{Cycle, EnergyBreakdown, EnergyCounters};
+use recross_workload::model::reduce_trace;
 use recross_workload::stats::ImbalanceSummary;
 use recross_workload::{EmbeddingTableSpec, Trace};
 
-use crate::session::ServiceSession;
+use crate::engine::{execute, EngineConfig, LookupPlan};
+use crate::session::{MemoizedSession, ServiceSession};
 
 /// Per-embedding-op latency percentiles (serving-tail view), in cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -116,18 +118,31 @@ impl RunReport {
     }
 }
 
+/// A model's table-dependent planning state, resolved once for a table
+/// universe by [`EmbeddingAccelerator::prepare`].
+///
+/// `plans` is the per-batch half: it turns a trace over that universe into
+/// one [`LookupPlan`] per lookup, in trace order. It must be deterministic
+/// and stateless across calls — per-call state such as LRU caches or
+/// replica round-robins starts fresh every time — which is what keeps the
+/// serving memo exact.
+pub trait Planner: Send {
+    /// The placement plan of every lookup of `trace`, in trace order.
+    fn plans(&self, trace: &Trace) -> Vec<LookupPlan>;
+}
+
 /// An embedding-layer accelerator model.
 ///
-/// The trait has two faces:
+/// A model is its [`engine_config`](Self::engine_config) plus a
+/// [`prepare`](Self::prepare)d [`Planner`]; everything else is provided on
+/// top of those two, so every model has one pricing path:
 ///
-/// * the **offline trace API** — [`run`](Self::run) and
-///   [`compute_results`](Self::compute_results) consume a whole [`Trace`]
-///   and rebuild all table-dependent state per call (the right shape for
-///   regenerating a paper figure);
-/// * the **serving API** — [`open_session`](Self::open_session) resolves
-///   layout/placement state for a fixed table universe *once* and returns
-///   a [`ServiceSession`] whose `service(&Batch)` prices individual
-///   dispatched batches, with an exact memoized service-time cache. The
+/// * [`run`](Self::run) prices a whole [`Trace`] (the shape of a paper
+///   figure): prepare for the trace's tables, plan, [`execute`];
+/// * [`open_session`](Self::open_session) prepares once for a fixed table
+///   universe and returns a [`ServiceSession`] whose `service(&Batch)`
+///   prices individual dispatched batches through the same planner and
+///   engine configuration, with an exact memoized service-time cache. The
 ///   online simulator (`recross-serve`) holds one session per channel.
 ///
 /// Implementations must be *functionally correct*: the reduction results
@@ -137,25 +152,38 @@ pub trait EmbeddingAccelerator {
     /// Human-readable architecture name (e.g. `"TRiM-G"`).
     fn name(&self) -> &str;
 
+    /// The engine configuration every pricing of this model runs under.
+    fn engine_config(&self) -> EngineConfig;
+
+    /// Resolves all table-dependent planning state (layouts, cache
+    /// geometry, replica directories, placements) for `tables`. The traces
+    /// later passed to [`Planner::plans`] index into this table universe.
+    fn prepare(&self, tables: &[EmbeddingTableSpec]) -> Box<dyn Planner>;
+
     /// Simulates the trace; returns timing/energy/load statistics.
-    fn run(&mut self, trace: &Trace) -> RunReport;
+    fn run(&self, trace: &Trace) -> RunReport {
+        let plans = self.prepare(&trace.tables).plans(trace);
+        execute(&self.engine_config(), trace, &plans)
+    }
 
     /// Computes the functional f32 results for every op of the trace, via
-    /// this architecture's placement round-trip.
-    fn compute_results(&mut self, trace: &Trace) -> Vec<Vec<f32>>;
+    /// this architecture's reduction order. The default is the golden
+    /// trace-order reduction, which is what every whole-vector PE computes.
+    fn compute_results(&self, trace: &Trace) -> Vec<Vec<f32>> {
+        reduce_trace(trace)
+    }
 
-    /// Opens a prepared serving session for `tables`: all table-dependent
-    /// state (layouts, caches' geometry, placements, engine configuration)
-    /// is resolved here, once, and owned by the returned session. The
-    /// batches later passed to [`ServiceSession::service`] index into this
-    /// table universe.
-    ///
-    /// A session's uncached path must price a batch exactly as
-    /// [`run`](EmbeddingAccelerator::run)
-    /// prices the equivalent single-batch trace (the serving simulator's
-    /// results are invariant under this refactor, and the session tests
-    /// assert it per model).
-    fn open_session(&self, tables: &[EmbeddingTableSpec]) -> Box<dyn ServiceSession>;
+    /// Opens a prepared serving session for `tables`: the engine
+    /// configuration and the [`prepare`](Self::prepare)d planner are owned
+    /// by the returned session, so a batch's uncached pricing is exactly
+    /// [`run`](Self::run) on the equivalent single-batch trace.
+    fn open_session(&self, tables: &[EmbeddingTableSpec]) -> Box<dyn ServiceSession> {
+        Box::new(MemoizedSession::new(
+            self.engine_config(),
+            self.prepare(tables),
+            tables,
+        ))
+    }
 }
 
 #[cfg(test)]

@@ -8,14 +8,12 @@
 
 use recross_dram::controller::BusScope;
 use recross_dram::DramConfig;
-use recross_workload::model::{embedding_value, reduce_trace};
-use recross_workload::{Batch, EmbeddingTableSpec, Trace};
+use recross_workload::{EmbeddingTableSpec, Trace};
 
-use crate::accel::{EmbeddingAccelerator, RunReport};
+use crate::accel::{EmbeddingAccelerator, Planner};
 use crate::cache::LruCache;
-use crate::engine::{execute, EngineConfig, LookupPlan, PlacedRead};
+use crate::engine::{EngineConfig, LookupPlan, PlacedRead};
 use crate::layout::TableLayout;
-use crate::session::{MemoizedSession, ServiceSession};
 
 /// CPU baseline model (16-core Broadwell-class host of the paper's Table 2).
 ///
@@ -51,33 +49,21 @@ impl CpuBaseline {
         let avg_vec = tables.iter().map(|t| t.vector_bytes()).max().unwrap_or(256);
         (self.llc_bytes / avg_vec.max(1)) as usize
     }
+}
 
-    /// The engine configuration shared by the offline and serving paths.
-    fn engine_config(&self) -> EngineConfig {
-        let mut cfg = EngineConfig::nmp("CPU", self.dram.clone(), 1);
-        cfg.inst_bits = None; // plain DRAM commands, no NMP instruction channel
-        cfg.reduce_at_host = true;
-        // The host controller holds at most 64 outstanding requests
-        // (Table 2), unlike NMP designs whose requests queue at the PEs;
-        // host-side reduction needs no psum-capacity op bound.
-        cfg.global_window = Some(64);
-        cfg.max_inflight_ops = None;
-        cfg
-    }
+/// The CPU's prepared planning state: the packed table layout and the
+/// LLC's entry count.
+struct CpuPlanner {
+    layout: TableLayout,
+    llc_entries: usize,
+}
 
-    /// Builds the per-lookup placement plans (public for the
-    /// benchmark harness and custom engine configurations).
-    pub fn plans(&self, trace: &Trace) -> Vec<LookupPlan> {
-        let layout = TableLayout::pack(self.dram.topology, &trace.tables, 0);
-        Self::plans_prepared(&layout, self.llc_entries(&trace.tables), trace)
-    }
-
-    /// [`plans`](Self::plans) with the table layout already resolved —
-    /// the per-batch half, shared with [`open_session`]'s prepared path.
-    /// The LLC starts cold on every call (per-call semantics keep the
-    /// serving memo cache exact).
-    fn plans_prepared(layout: &TableLayout, entries: usize, trace: &Trace) -> Vec<LookupPlan> {
-        let mut llc = (entries > 0).then(|| LruCache::new(entries));
+impl Planner for CpuPlanner {
+    /// Every gather reads through the host channel unless the LLC holds
+    /// the vector. The LLC starts cold on every call (per-call semantics
+    /// keep the serving memo cache exact).
+    fn plans(&self, trace: &Trace) -> Vec<LookupPlan> {
+        let mut llc = (self.llc_entries > 0).then(|| LruCache::new(self.llc_entries));
         let mut plans = Vec::with_capacity(trace.lookups());
         for (op_idx, op) in trace.iter_ops().enumerate() {
             for &row in &op.indices {
@@ -92,7 +78,7 @@ impl CpuBaseline {
                         cached: true,
                     });
                 } else {
-                    let loc = layout.locate(op.table, row);
+                    let loc = self.layout.locate(op.table, row);
                     plans.push(LookupPlan {
                         op: op_idx,
                         reads: vec![PlacedRead {
@@ -118,36 +104,23 @@ impl EmbeddingAccelerator for CpuBaseline {
         "CPU"
     }
 
-    fn run(&mut self, trace: &Trace) -> RunReport {
-        let plans = self.plans(trace);
-        let cfg = self.engine_config();
-        execute(&cfg, trace, &plans)
+    fn engine_config(&self) -> EngineConfig {
+        let mut cfg = EngineConfig::nmp("CPU", self.dram.clone(), 1);
+        cfg.inst_bits = None; // plain DRAM commands, no NMP instruction channel
+        cfg.reduce_at_host = true;
+        // The host controller holds at most 64 outstanding requests
+        // (Table 2), unlike NMP designs whose requests queue at the PEs;
+        // host-side reduction needs no psum-capacity op bound.
+        cfg.global_window = Some(64);
+        cfg.max_inflight_ops = None;
+        cfg
     }
 
-    fn compute_results(&mut self, trace: &Trace) -> Vec<Vec<f32>> {
-        // Host-side reduction in trace order: the golden path itself.
-        let _ = embedding_value(0, 0, 0);
-        reduce_trace(trace)
-    }
-
-    fn open_session(&self, tables: &[EmbeddingTableSpec]) -> Box<dyn ServiceSession> {
-        let layout = TableLayout::pack(self.dram.topology, tables, 0);
-        let entries = self.llc_entries(tables);
-        let mut cfg = self.engine_config();
-        let mut trace = Trace {
-            tables: tables.to_vec(),
-            batches: Vec::new(),
-        };
-        Box::new(MemoizedSession::new(
-            "CPU",
-            Box::new(move |batch: &Batch, traced: bool| {
-                trace.batches.clear();
-                trace.batches.push(batch.clone());
-                cfg.trace_commands = traced;
-                let plans = Self::plans_prepared(&layout, entries, &trace);
-                execute(&cfg, &trace, &plans).into()
-            }),
-        ))
+    fn prepare(&self, tables: &[EmbeddingTableSpec]) -> Box<dyn Planner> {
+        Box::new(CpuPlanner {
+            layout: TableLayout::pack(self.dram.topology, tables, 0),
+            llc_entries: self.llc_entries(tables),
+        })
     }
 }
 
@@ -166,7 +139,7 @@ mod tests {
     #[test]
     fn runs_and_moves_all_data() {
         let t = trace();
-        let mut cpu = CpuBaseline::new(DramConfig::ddr5_4800()).with_llc_bytes(0);
+        let cpu = CpuBaseline::new(DramConfig::ddr5_4800()).with_llc_bytes(0);
         let r = cpu.run(&t);
         assert_eq!(r.lookups as usize, t.lookups());
         // Without LLC, every gathered byte crosses the channel.
@@ -188,7 +161,7 @@ mod tests {
     #[test]
     fn results_match_golden() {
         let t = trace();
-        let mut cpu = CpuBaseline::new(DramConfig::ddr5_4800());
+        let cpu = CpuBaseline::new(DramConfig::ddr5_4800());
         let got = cpu.compute_results(&t);
         let want = recross_workload::model::reduce_trace(&t);
         recross_workload::model::assert_results_close(&got, &want, 1e-5);

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use recross_dram::bus::InstructionBus;
 use recross_dram::controller::{BusScope, Controller, ReadRequest, SchedulePolicy};
 use recross_dram::{Cycle, DramConfig, EnergyBreakdown, PhysAddr};
-use recross_workload::stats::{imbalance_ratio, ImbalanceSummary};
+use recross_workload::stats::ImbalanceSummary;
 use recross_workload::{Reduction, Trace};
 
 use crate::accel::RunReport;
@@ -57,8 +57,10 @@ pub struct EngineConfig {
     pub policy: SchedulePolicy,
     /// Architecture name for the report.
     pub name: String,
-    /// Number of memory nodes (PEs) for imbalance accounting.
-    pub num_nodes: usize,
+    /// Bandwidth weight of each memory node (PE), for load and imbalance
+    /// accounting: a node's share of an op's lookups is judged against its
+    /// share of the total weight. Homogeneous designs weigh every node 1.0.
+    pub node_weights: Vec<f64>,
     /// NMP-instruction size in bits (82, §4.2); `None` disables the
     /// instruction channel (CPU baseline: plain DRAM commands).
     pub inst_bits: Option<u32>,
@@ -89,13 +91,13 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// A standard NMP engine configuration.
+    /// A standard NMP engine configuration over `num_nodes` equal nodes.
     pub fn nmp(name: &str, dram: DramConfig, num_nodes: usize) -> Self {
         Self {
             dram,
             policy: SchedulePolicy::FrFcfs,
             name: name.to_owned(),
-            num_nodes,
+            node_weights: vec![1.0; num_nodes],
             inst_bits: Some(82),
             two_stage_inst: true,
             reduce_at_host: false,
@@ -147,7 +149,8 @@ pub fn execute(cfg: &EngineConfig, trace: &Trace, plans: &[LookupPlan]) -> RunRe
         op_result_bytes.push(bytes);
     }
 
-    let mut node_loads = vec![0u64; cfg.num_nodes.max(1)];
+    let num_nodes = cfg.node_weights.len();
+    let mut node_loads = vec![0u64; num_nodes.max(1)];
     let mut cache_hits = 0u64;
     let mut op_done = vec![0 as Cycle; num_ops];
     let mut op_start = vec![Cycle::MAX; num_ops];
@@ -183,7 +186,7 @@ pub fn execute(cfg: &EngineConfig, trace: &Trace, plans: &[LookupPlan]) -> RunRe
                         cache_hits += 1;
                     }
                     for r in &plan.reads {
-                        assert!(r.node < cfg.num_nodes, "node id out of range");
+                        assert!(r.node < num_nodes, "node id out of range");
                         node_loads[r.node] += 1;
                         ctl.enqueue(ReadRequest {
                             id: plan_idx as u64,
@@ -248,21 +251,29 @@ pub fn execute(cfg: &EngineConfig, trace: &Trace, plans: &[LookupPlan]) -> RunRe
         }
     }
 
-    // Imbalance: per-op per-node DRAM-read loads.
+    // Imbalance: per-op per-node DRAM-read loads, each node's load taken
+    // relative to its bandwidth weight —
+    // `ratio = max_n(load_n / w_n) / (Σ load / Σ w)`; with unit weights
+    // this is exactly `max / mean`.
     let mut per_op_loads: Vec<HashMap<usize, u64>> = vec![HashMap::new(); num_ops];
     for plan in plans.iter() {
         for r in &plan.reads {
             *per_op_loads[plan.op].entry(r.node).or_insert(0) += 1;
         }
     }
+    let total_weight: f64 = cfg.node_weights.iter().sum();
     let ratios: Vec<f64> = per_op_loads
         .iter()
         .map(|loads| {
-            let mut v = vec![0u64; cfg.num_nodes.max(1)];
-            for (&n, &c) in loads {
-                v[n] = c;
+            let total: u64 = loads.values().sum();
+            if total == 0 {
+                return 0.0;
             }
-            imbalance_ratio(&v)
+            let ideal = total as f64 / total_weight;
+            loads
+                .iter()
+                .map(|(&n, &c)| c as f64 / cfg.node_weights[n] / ideal)
+                .fold(0.0, f64::max)
         })
         .collect();
 
@@ -468,6 +479,40 @@ mod tests {
         assert!(rc.counters.io_bits > rw.counters.io_bits);
         assert_eq!(rc.counters.fp_adds, 0);
         assert!(rw.counters.fp_muls > 0);
+    }
+
+    /// Each node's load is judged against its share of the total bandwidth
+    /// weight; unit weights reduce the ratio to the plain `max / mean`.
+    #[test]
+    fn imbalance_weighs_nodes_by_bandwidth() {
+        let trace = small_trace();
+        let plans = plans_for(&trace, BusScope::Rank, 2);
+        let mut loads = vec![[0u64; 2]; trace.ops()];
+        for plan in &plans {
+            for r in &plan.reads {
+                loads[plan.op][r.node] += 1;
+            }
+        }
+        let mut cfg = EngineConfig::nmp("w", DramConfig::ddr5_4800(), 2);
+        let unit = execute(&cfg, &trace, &plans);
+        let plain: Vec<f64> = loads
+            .iter()
+            .map(|l| recross_workload::stats::imbalance_ratio(l))
+            .collect();
+        assert_eq!(unit.imbalance, ImbalanceSummary::from_ratios(&plain));
+
+        cfg.node_weights = vec![3.0, 1.0];
+        let weighted = execute(&cfg, &trace, &plans);
+        assert_eq!(weighted.cycles, unit.cycles, "accounting only");
+        let want: Vec<f64> = loads
+            .iter()
+            .map(|&[a, b]| {
+                let ideal = (a + b) as f64 / 4.0;
+                (a as f64 / 3.0).max(b as f64) / ideal
+            })
+            .collect();
+        assert_eq!(weighted.imbalance, ImbalanceSummary::from_ratios(&want));
+        assert_ne!(weighted.imbalance, unit.imbalance);
     }
 
     #[test]

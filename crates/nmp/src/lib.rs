@@ -4,7 +4,9 @@
 //! (Liu et al., ISCA 2023): the shared command-level execution engine plus
 //! the paper's four NMP baselines and the CPU baseline.
 //!
-//! * [`accel`] — the [`EmbeddingAccelerator`] trait and [`RunReport`];
+//! * [`accel`] — the [`EmbeddingAccelerator`] trait, whose models each
+//!   supply an engine configuration and a prepared [`Planner`], and
+//!   [`RunReport`];
 //! * [`session`] — the prepare-once / service-many [`ServiceSession`]
 //!   serving surface with its memoized service-time cache;
 //! * [`engine`] — placement plans → DRAM command streams, the 82-bit
@@ -33,7 +35,7 @@
 //!     .batch_size(2)
 //!     .pooling(8)
 //!     .generate(1);
-//! let mut trim_g = Trim::bank_group(DramConfig::ddr5_4800());
+//! let trim_g = Trim::bank_group(DramConfig::ddr5_4800());
 //! let report = trim_g.run(&trace);
 //! assert!(report.cycles > 0);
 //! ```
@@ -51,8 +53,8 @@ pub mod session;
 pub mod tensordimm;
 pub mod trim;
 
-pub use accel::{EmbeddingAccelerator, LatencySummary, RunReport};
-pub use session::{MemoizedSession, ServiceSession, Serviced, SessionStats, DEFAULT_MEMO_CAPACITY};
+pub use accel::{EmbeddingAccelerator, LatencySummary, Planner, RunReport};
+pub use session::{MemoizedSession, ServiceSession, SessionStats, DEFAULT_MEMO_CAPACITY};
 pub use cost::{AreaModel, AreaParams, AreaReport};
 pub use cpu::CpuBaseline;
 pub use engine::{execute, internal_bandwidth, EngineConfig, LookupPlan, PlacedRead};

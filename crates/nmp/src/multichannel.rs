@@ -141,7 +141,7 @@ where
         if sub.ops() == 0 {
             continue;
         }
-        let mut accel = make(ch, &sub);
+        let accel = make(ch, &sub);
         let r = accel.run(&sub);
         combined.cycles = combined.cycles.max(r.cycles);
         combined.ns = combined.ns.max(r.ns);

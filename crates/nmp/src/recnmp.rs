@@ -8,14 +8,12 @@
 
 use recross_dram::controller::BusScope;
 use recross_dram::DramConfig;
-use recross_workload::model::reduce_trace;
-use recross_workload::{Batch, EmbeddingTableSpec, Trace};
+use recross_workload::{EmbeddingTableSpec, Trace};
 
-use crate::accel::{EmbeddingAccelerator, RunReport};
+use crate::accel::{EmbeddingAccelerator, Planner};
 use crate::cache::LruCache;
-use crate::engine::{execute, EngineConfig, LookupPlan, PlacedRead};
+use crate::engine::{EngineConfig, LookupPlan, PlacedRead};
 use crate::layout::TableLayout;
-use crate::session::{MemoizedSession, ServiceSession};
 
 /// RecNMP accelerator model.
 #[derive(Debug, Clone)]
@@ -44,36 +42,29 @@ impl RecNmp {
         let max_vec = tables.iter().map(|t| t.vector_bytes()).max().unwrap_or(256);
         (self.cache_bytes_per_rank / max_vec.max(1)) as usize
     }
+}
 
-    /// Builds the per-lookup placement plans (public for the
-    /// benchmark harness and custom engine configurations).
-    pub fn plans(&self, trace: &Trace) -> Vec<LookupPlan> {
-        let layout = TableLayout::pack(self.dram.topology, &trace.tables, 0);
-        Self::plans_prepared(
-            &layout,
-            self.cache_entries(&trace.tables),
-            self.dram.topology.ranks,
-            trace,
-        )
-    }
+/// RecNMP's prepared planning state: the row-hashed layout and each rank
+/// PE cache's entry count.
+struct RecNmpPlanner {
+    layout: TableLayout,
+    cache_entries: usize,
+    ranks: u32,
+}
 
-    /// [`plans`](Self::plans) with the layout already resolved — the
-    /// per-batch half, shared with [`open_session`]'s prepared path. The
-    /// PE caches start cold on every call (per-call semantics keep the
-    /// serving memo cache exact).
-    fn plans_prepared(
-        layout: &TableLayout,
-        entries: usize,
-        ranks: u32,
-        trace: &Trace,
-    ) -> Vec<LookupPlan> {
-        let mut caches: Vec<Option<LruCache<(usize, u64)>>> = (0..ranks)
+impl Planner for RecNmpPlanner {
+    /// Each lookup reads its whole vector from its rank unless that rank's
+    /// PE cache holds it. The PE caches start cold on every call (per-call
+    /// semantics keep the serving memo cache exact).
+    fn plans(&self, trace: &Trace) -> Vec<LookupPlan> {
+        let entries = self.cache_entries;
+        let mut caches: Vec<Option<LruCache<(usize, u64)>>> = (0..self.ranks)
             .map(|_| (entries > 0).then(|| LruCache::new(entries)))
             .collect();
         let mut plans = Vec::with_capacity(trace.lookups());
         for (op_idx, op) in trace.iter_ops().enumerate() {
             for &row in &op.indices {
-                let loc = layout.locate(op.table, row);
+                let loc = self.layout.locate(op.table, row);
                 let rank = loc.addr.rank as usize;
                 let hit = caches[rank]
                     .as_mut()
@@ -106,46 +97,27 @@ impl RecNmp {
     }
 }
 
+/// Rank PEs reduce whole vectors (cached or fetched) in trace order, so
+/// the default golden-order `compute_results` is RecNMP's.
 impl EmbeddingAccelerator for RecNmp {
     fn name(&self) -> &str {
         "RecNMP"
     }
 
-    fn run(&mut self, trace: &Trace) -> RunReport {
-        let plans = self.plans(trace);
-        let cfg = EngineConfig::nmp(
+    fn engine_config(&self) -> EngineConfig {
+        EngineConfig::nmp(
             "RecNMP",
             self.dram.clone(),
             self.dram.topology.ranks as usize,
-        );
-        execute(&cfg, trace, &plans)
+        )
     }
 
-    fn open_session(&self, tables: &[EmbeddingTableSpec]) -> Box<dyn ServiceSession> {
-        let layout = TableLayout::pack(self.dram.topology, tables, 0);
-        let entries = self.cache_entries(tables);
-        let ranks = self.dram.topology.ranks;
-        let mut cfg = EngineConfig::nmp("RecNMP", self.dram.clone(), ranks as usize);
-        let mut trace = Trace {
-            tables: tables.to_vec(),
-            batches: Vec::new(),
-        };
-        Box::new(MemoizedSession::new(
-            "RecNMP",
-            Box::new(move |batch: &Batch, traced: bool| {
-                trace.batches.clear();
-                trace.batches.push(batch.clone());
-                cfg.trace_commands = traced;
-                let plans = Self::plans_prepared(&layout, entries, ranks, &trace);
-                execute(&cfg, &trace, &plans).into()
-            }),
-        ))
-    }
-
-    fn compute_results(&mut self, trace: &Trace) -> Vec<Vec<f32>> {
-        // Rank PEs reduce whole vectors (cached or fetched) in trace order;
-        // numerically identical to the golden order.
-        reduce_trace(trace)
+    fn prepare(&self, tables: &[EmbeddingTableSpec]) -> Box<dyn Planner> {
+        Box::new(RecNmpPlanner {
+            layout: TableLayout::pack(self.dram.topology, tables, 0),
+            cache_entries: self.cache_entries(tables),
+            ranks: self.dram.topology.ranks,
+        })
     }
 }
 

@@ -1,16 +1,12 @@
 //! The prepare-once / service-many serving surface.
 //!
-//! The offline API ([`EmbeddingAccelerator::run`]) consumes a whole
-//! [`Trace`](recross_workload::Trace); it rebuilds the architecture's
-//! table layout, engine
-//! configuration, and (for ReCross) placement state on every call. That is
-//! the right shape for regenerating a paper figure and the wrong shape for
-//! the serving simulator, which charges a cycle-accurate cost to *every
-//! dispatched batch* — thousands of calls against one fixed table universe.
-//!
-//! [`EmbeddingAccelerator::open_session`] resolves all table-dependent
-//! state once and returns a [`ServiceSession`]: a lightweight object whose
-//! [`service`](ServiceSession::service) prices one batch. Sessions also
+//! The serving simulator charges a cycle-accurate cost to *every
+//! dispatched batch* — thousands of calls against one fixed table
+//! universe. [`EmbeddingAccelerator::open_session`] prepares the model's
+//! [`Planner`] for that universe once and returns a [`ServiceSession`]: a
+//! lightweight object whose [`service`](ServiceSession::service) prices one
+//! batch through the same planner and engine configuration that
+//! [`EmbeddingAccelerator::run`] uses for a whole trace. Sessions also
 //! memoize service times keyed on the batch's canonical op signature, so a
 //! batch composition the session has already priced (common across the
 //! probes of an SLO search, which replays the same request set at different
@@ -19,9 +15,9 @@
 //! the serving simulator's `ServeReport`.
 //!
 //! The cache is exact, not approximate: the key encodes the full op
-//! sequence (tables, row ids, weight bits, order), and every model's
-//! uncached path is deterministic and stateless across calls, so a hit
-//! returns bit-identical cycles to a re-simulation. Disabling the cache
+//! sequence (tables, row ids, weight bits, order), and every planner is
+//! deterministic and stateless across calls, so a hit returns bit-identical
+//! cycles to a re-simulation. Disabling the cache
 //! ([`ServiceSession::set_cache_enabled`]) therefore changes wall-clock
 //! time, never reported cycles — CI byte-compares the two.
 //!
@@ -37,9 +33,11 @@
 use std::collections::HashMap;
 
 use recross_dram::{Cycle, IssuedCommand};
-use recross_workload::Batch;
+use recross_workload::{Batch, EmbeddingTableSpec, Trace};
 
+use crate::accel::{Planner, RunReport};
 use crate::cache::LruCache;
+use crate::engine::{execute, EngineConfig};
 
 /// Default bound on distinct batch signatures a session memoizes.
 pub const DEFAULT_MEMO_CAPACITY: usize = 1 << 16;
@@ -76,32 +74,10 @@ impl SessionStats {
     }
 }
 
-/// Result of pricing one batch through a session's uncached path.
-///
-/// `commands` is populated only when the caller asked for a traced run
-/// (the observability path); the untraced hot path always carries `None`
-/// so pricing allocates nothing trace-related.
-#[derive(Debug, Clone, Default)]
-pub struct Serviced {
-    /// Cycles to service the batch.
-    pub cycles: Cycle,
-    /// Full DRAM command trace of the batch, when traced.
-    pub commands: Option<Vec<IssuedCommand>>,
-}
-
-impl From<crate::accel::RunReport> for Serviced {
-    fn from(report: crate::accel::RunReport) -> Self {
-        Serviced {
-            cycles: report.cycles,
-            commands: report.commands,
-        }
-    }
-}
-
 /// A prepared serving session for one accelerator and one table universe.
 ///
 /// Obtained from [`EmbeddingAccelerator::open_session`]. The session owns
-/// every table-dependent artifact (layouts, placements, engine
+/// every table-dependent artifact (the prepared [`Planner`] and the engine
 /// configuration), so [`service`](Self::service) does only per-batch work:
 /// plan the batch's lookups and drive them through the DRAM engine — or
 /// return the memoized cycles for a batch signature it has seen before.
@@ -172,21 +148,17 @@ pub fn batch_signature(batch: &Batch) -> Vec<u64> {
     sig
 }
 
-/// A prepared uncached pricing function: `(batch, traced)` → cycles (+
-/// the DRAM command trace when `traced`). Must be deterministic —
-/// identical inputs price identically.
-pub type ServiceFn = Box<dyn FnMut(&Batch, bool) -> Serviced>;
-
-/// The shared [`ServiceSession`] implementation: a prepared uncached
-/// pricing function plus the exact memo cache.
+/// The one [`ServiceSession`] implementation: a model's engine
+/// configuration and prepared [`Planner`], plus the exact memo cache.
 ///
-/// Every accelerator model builds one of these in `open_session`, moving
-/// its resolved layout/placement state into the `uncached` closure.
+/// [`EmbeddingAccelerator::open_session`] builds one for every model.
 pub struct MemoizedSession {
-    name: String,
-    /// Prepared pricing function: `(batch, traced)` → cycles (+ the DRAM
-    /// command trace when `traced`).
-    uncached: ServiceFn,
+    /// The model's engine configuration; `trace_commands` is set per call.
+    cfg: EngineConfig,
+    planner: Box<dyn Planner>,
+    /// A one-batch trace over the session's table universe, refilled for
+    /// every uncached pricing.
+    scratch: Trace,
     cache: HashMap<Vec<u64>, Cycle>,
     /// Recency list over the memoized signatures; its fixed capacity is the
     /// memo bound, and its evictions name the signature to drop.
@@ -198,7 +170,7 @@ pub struct MemoizedSession {
 impl core::fmt::Debug for MemoizedSession {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("MemoizedSession")
-            .field("name", &self.name)
+            .field("name", &self.cfg.name)
             .field("cached_entries", &self.cache.len())
             .field("capacity", &self.lru.capacity())
             .field("stats", &self.stats)
@@ -208,17 +180,23 @@ impl core::fmt::Debug for MemoizedSession {
 }
 
 impl MemoizedSession {
-    /// Wraps a prepared pricing function. `uncached` must be deterministic
-    /// and stateless across calls (identical batch → identical cycles);
-    /// every model's session satisfies this by resetting per-batch state
-    /// (LRU caches, replica round-robins) inside the closure.
+    /// A session pricing batches over `tables` with `planner` (prepared for
+    /// the same `tables`) under `cfg`; it is named after `cfg.name`.
     ///
     /// The memo holds at most [`DEFAULT_MEMO_CAPACITY`] signatures; see
     /// [`ServiceSession::set_cache_capacity`].
-    pub fn new(name: impl Into<String>, uncached: ServiceFn) -> Self {
+    pub fn new(
+        cfg: EngineConfig,
+        planner: Box<dyn Planner>,
+        tables: &[EmbeddingTableSpec],
+    ) -> Self {
         Self {
-            name: name.into(),
-            uncached,
+            cfg,
+            planner,
+            scratch: Trace {
+                tables: tables.to_vec(),
+                batches: Vec::new(),
+            },
             cache: HashMap::new(),
             lru: LruCache::new(DEFAULT_MEMO_CAPACITY),
             stats: SessionStats::default(),
@@ -226,26 +204,33 @@ impl MemoizedSession {
         }
     }
 
-    /// Distinct batch signatures currently memoized.
-    pub fn cached_entries(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Current bound on memoized signatures.
-    pub fn cache_capacity(&self) -> usize {
-        self.lru.capacity()
+    /// Prices `batch` by full simulation — [`EmbeddingAccelerator::run`] on
+    /// the one-batch trace — recording its command trace when `traced`.
+    fn uncached(&mut self, batch: &Batch, traced: bool) -> RunReport {
+        self.scratch.batches.clear();
+        self.scratch.batches.push(batch.clone());
+        self.cfg.trace_commands = traced;
+        let plans = self.planner.plans(&self.scratch);
+        execute(&self.cfg, &self.scratch, &plans)
     }
 }
 
+// Checked at compile time: a session can move to the thread that serves
+// its channel.
+const _: fn() = || {
+    fn assert_send<T: Send>() {}
+    assert_send::<MemoizedSession>();
+};
+
 impl ServiceSession for MemoizedSession {
     fn name(&self) -> &str {
-        &self.name
+        &self.cfg.name
     }
 
     fn service(&mut self, batch: &Batch) -> Cycle {
         if !self.enabled {
             self.stats.misses += 1;
-            return (self.uncached)(batch, false).cycles;
+            return self.uncached(batch, false).cycles;
         }
         let sig = batch_signature(batch);
         if let Some(&cycles) = self.cache.get(&sig) {
@@ -253,7 +238,7 @@ impl ServiceSession for MemoizedSession {
             self.lru.touch(sig);
             return cycles;
         }
-        let cycles = (self.uncached)(batch, false).cycles;
+        let cycles = self.uncached(batch, false).cycles;
         let (_, evicted) = self.lru.touch_evict(sig.clone());
         if let Some(victim) = evicted {
             self.cache.remove(&victim);
@@ -270,7 +255,7 @@ impl ServiceSession for MemoizedSession {
         let cycles = self.service(batch);
         // ...then a traced re-run outside the memo for the commands. The
         // uncached path is deterministic, so the re-run prices identically.
-        let traced = (self.uncached)(batch, true);
+        let traced = self.uncached(batch, true);
         debug_assert_eq!(
             traced.cycles, cycles,
             "traced re-run must price identically to the memoized path"
@@ -331,7 +316,7 @@ mod tests {
             Box::new(Trim::bank_group(d.clone())),
             Box::new(Trim::bank(d.clone())),
         ];
-        for mut model in models {
+        for model in models {
             let mut session = model.open_session(&t.tables);
             for batch in &t.batches {
                 let single = Trace {

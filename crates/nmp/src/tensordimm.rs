@@ -10,12 +10,11 @@
 use recross_dram::controller::BusScope;
 use recross_dram::DramConfig;
 use recross_workload::model::embedding_value;
-use recross_workload::{Batch, EmbeddingTableSpec, Trace};
+use recross_workload::{EmbeddingTableSpec, Trace};
 
-use crate::accel::{EmbeddingAccelerator, RunReport};
-use crate::engine::{execute, EngineConfig, LookupPlan, PlacedRead};
+use crate::accel::{EmbeddingAccelerator, Planner};
+use crate::engine::{EngineConfig, LookupPlan, PlacedRead};
 use crate::layout::TableLayout;
-use crate::session::{MemoizedSession, ServiceSession};
 
 /// TensorDIMM accelerator model.
 #[derive(Debug, Clone)]
@@ -57,21 +56,23 @@ impl TensorDimm {
         rank_topo.ranks = 1;
         TableLayout::pack(rank_topo, &sliced, 0)
     }
+}
 
-    /// Builds the per-lookup placement plans (public for the
-    /// benchmark harness and custom engine configurations).
-    pub fn plans(&self, trace: &Trace) -> Vec<LookupPlan> {
-        Self::plans_prepared(&self.rank_layout(&trace.tables), self.dram.topology.ranks, trace)
-    }
+/// TensorDIMM's prepared planning state: the sliced single-rank layout,
+/// replicated across `ranks`.
+struct RankSlices {
+    layout: TableLayout,
+    ranks: u32,
+}
 
-    /// [`plans`](Self::plans) with the per-rank layout already resolved —
-    /// the per-batch half, shared with [`open_session`]'s prepared path.
-    fn plans_prepared(layout: &TableLayout, ranks: u32, trace: &Trace) -> Vec<LookupPlan> {
+impl Planner for RankSlices {
+    /// Every lookup reads its slice from every rank.
+    fn plans(&self, trace: &Trace) -> Vec<LookupPlan> {
         let mut plans = Vec::with_capacity(trace.lookups());
         for (op_idx, op) in trace.iter_ops().enumerate() {
             for &row in &op.indices {
-                let loc = layout.locate(op.table, row);
-                let reads = (0..ranks)
+                let loc = self.layout.locate(op.table, row);
+                let reads = (0..self.ranks)
                     .map(|rank| {
                         let mut addr = loc.addr;
                         addr.rank = rank;
@@ -102,37 +103,22 @@ impl EmbeddingAccelerator for TensorDimm {
         "TensorDIMM"
     }
 
-    fn run(&mut self, trace: &Trace) -> RunReport {
-        let plans = self.plans(trace);
-        let cfg = EngineConfig::nmp(
+    fn engine_config(&self) -> EngineConfig {
+        EngineConfig::nmp(
             "TensorDIMM",
             self.dram.clone(),
             self.dram.topology.ranks as usize,
-        );
-        execute(&cfg, trace, &plans)
+        )
     }
 
-    fn open_session(&self, tables: &[EmbeddingTableSpec]) -> Box<dyn ServiceSession> {
-        let layout = self.rank_layout(tables);
-        let ranks = self.dram.topology.ranks;
-        let mut cfg = EngineConfig::nmp("TensorDIMM", self.dram.clone(), ranks as usize);
-        let mut trace = Trace {
-            tables: tables.to_vec(),
-            batches: Vec::new(),
-        };
-        Box::new(MemoizedSession::new(
-            "TensorDIMM",
-            Box::new(move |batch: &Batch, traced: bool| {
-                trace.batches.clear();
-                trace.batches.push(batch.clone());
-                cfg.trace_commands = traced;
-                let plans = Self::plans_prepared(&layout, ranks, &trace);
-                execute(&cfg, &trace, &plans).into()
-            }),
-        ))
+    fn prepare(&self, tables: &[EmbeddingTableSpec]) -> Box<dyn Planner> {
+        Box::new(RankSlices {
+            layout: self.rank_layout(tables),
+            ranks: self.dram.topology.ranks,
+        })
     }
 
-    fn compute_results(&mut self, trace: &Trace) -> Vec<Vec<f32>> {
+    fn compute_results(&self, trace: &Trace) -> Vec<Vec<f32>> {
         // Each rank PE reduces its dimension slice; the host concatenates.
         let ranks = self.dram.topology.ranks as usize;
         trace
@@ -171,7 +157,7 @@ mod tests {
     #[test]
     fn every_lookup_touches_every_rank() {
         let t = trace();
-        let mut td = TensorDimm::new(DramConfig::ddr5_4800());
+        let td = TensorDimm::new(DramConfig::ddr5_4800());
         let r = td.run(&t);
         let loads = &r.node_loads;
         assert_eq!(loads.len(), 2);
@@ -183,7 +169,7 @@ mod tests {
     #[test]
     fn results_match_golden() {
         let t = trace();
-        let mut td = TensorDimm::new(DramConfig::ddr5_4800());
+        let td = TensorDimm::new(DramConfig::ddr5_4800());
         let got = td.compute_results(&t);
         let want = recross_workload::model::reduce_trace(&t);
         recross_workload::model::assert_results_close(&got, &want, 1e-4);

@@ -8,15 +8,13 @@
 //! round-robins accesses among the replicas.
 
 use recross_dram::controller::BusScope;
-use recross_dram::DramConfig;
-use recross_workload::model::reduce_trace;
-use recross_workload::{Batch, EmbeddingTableSpec, Trace};
+use recross_dram::{DramConfig, PhysAddr, Topology};
+use recross_workload::{EmbeddingTableSpec, Trace};
 
-use crate::accel::{EmbeddingAccelerator, RunReport};
-use crate::engine::{execute, EngineConfig, LookupPlan, PlacedRead};
+use crate::accel::{EmbeddingAccelerator, Planner};
+use crate::engine::{EngineConfig, LookupPlan, PlacedRead};
 use crate::layout::{slot_to_addr, TableLayout};
 use crate::profile::AccessProfile;
-use crate::session::{MemoizedSession, ServiceSession};
 use std::collections::HashMap;
 
 /// Which TRiM variant.
@@ -93,21 +91,6 @@ impl Trim {
         }
     }
 
-    fn dest(&self) -> BusScope {
-        match self.level {
-            TrimLevel::BankGroup => BusScope::BankGroup,
-            TrimLevel::Bank => BusScope::Bank,
-        }
-    }
-
-    fn node_of(&self, addr: &recross_dram::PhysAddr) -> usize {
-        let t = &self.dram.topology;
-        match self.level {
-            TrimLevel::BankGroup => addr.flat_bank_group(t) as usize,
-            TrimLevel::Bank => addr.flat_bank(t) as usize,
-        }
-    }
-
     /// Hot-entry replica directory: (table, row) -> replica slot base.
     /// Replicas live in the slots right after the packed tables, one
     /// DRAM-row-slot stride per replica so copies land on distinct banks.
@@ -123,40 +106,54 @@ impl Trim {
         }
         hot
     }
+}
 
-    /// Builds the per-lookup placement plans (public for the
-    /// benchmark harness and custom engine configurations).
-    pub fn plans(&self, trace: &Trace) -> Vec<LookupPlan> {
-        let layout = TableLayout::pack(self.dram.topology, &trace.tables, 0);
-        self.plans_prepared(&layout, &self.hot_directory(), trace)
+/// TRiM's prepared planning state: the contiguous layout and the hot-entry
+/// replica directory.
+struct TrimPlanner {
+    topo: Topology,
+    level: TrimLevel,
+    replicas: u64,
+    layout: TableLayout,
+    hot: HashMap<(usize, u64), u64>,
+}
+
+impl TrimPlanner {
+    fn dest(&self) -> BusScope {
+        match self.level {
+            TrimLevel::BankGroup => BusScope::BankGroup,
+            TrimLevel::Bank => BusScope::Bank,
+        }
     }
 
-    /// [`plans`](Self::plans) with the layout and replica directory
-    /// already resolved — the per-batch half, shared with
-    /// [`open_session`]'s prepared path. The replica round-robin counter
-    /// starts at zero on every call (per-call semantics keep the serving
-    /// memo cache exact).
-    fn plans_prepared(
-        &self,
-        layout: &TableLayout,
-        hot: &HashMap<(usize, u64), u64>,
-        trace: &Trace,
-    ) -> Vec<LookupPlan> {
-        let topo = self.dram.topology;
-        let replica_base = layout.total_slots();
-        let replicas = u64::from(self.replicas);
+    fn node_of(&self, addr: &PhysAddr) -> usize {
+        match self.level {
+            TrimLevel::BankGroup => addr.flat_bank_group(&self.topo) as usize,
+            TrimLevel::Bank => addr.flat_bank(&self.topo) as usize,
+        }
+    }
+}
+
+impl Planner for TrimPlanner {
+    /// Each lookup reads its row in place, or one of its replicas when the
+    /// row is hot. The replica round-robin counter starts at zero on every
+    /// call (per-call semantics keep the serving memo cache exact).
+    fn plans(&self, trace: &Trace) -> Vec<LookupPlan> {
+        let topo = self.topo;
+        let replica_base = self.layout.total_slots();
+        let replicas = self.replicas;
         let mut rr_counter = 0u64;
         let mut plans = Vec::with_capacity(trace.lookups());
         for (op_idx, op) in trace.iter_ops().enumerate() {
             let bursts = topo.bursts_for(trace.tables[op.table].vector_bytes()) as u32;
             for &row in &op.indices {
-                let addr = if let Some(&hot_idx) = hot.get(&(op.table, row)) {
+                let addr = if let Some(&hot_idx) = self.hot.get(&(op.table, row)) {
                     // Round-robin over the entry's replicas.
                     rr_counter += 1;
                     let slot = replica_base + hot_idx * replicas + (rr_counter % replicas);
                     slot_to_addr(&topo, slot, 0)
                 } else {
-                    layout.locate(op.table, row).addr
+                    self.layout.locate(op.table, row).addr
                 };
                 plans.push(LookupPlan {
                     op: op_idx,
@@ -177,42 +174,25 @@ impl Trim {
     }
 }
 
+/// PEs reduce whole vectors in trace order (replicas hold identical data),
+/// so the default golden-order `compute_results` is TRiM's.
 impl EmbeddingAccelerator for Trim {
     fn name(&self) -> &str {
         self.level_name()
     }
 
-    fn run(&mut self, trace: &Trace) -> RunReport {
-        let plans = self.plans(trace);
-        let cfg = EngineConfig::nmp(self.level_name(), self.dram.clone(), self.num_nodes());
-        execute(&cfg, trace, &plans)
+    fn engine_config(&self) -> EngineConfig {
+        EngineConfig::nmp(self.level_name(), self.dram.clone(), self.num_nodes())
     }
 
-    fn open_session(&self, tables: &[EmbeddingTableSpec]) -> Box<dyn ServiceSession> {
-        let layout = TableLayout::pack(self.dram.topology, tables, 0);
-        let hot = self.hot_directory();
-        let mut cfg = EngineConfig::nmp(self.level_name(), self.dram.clone(), self.num_nodes());
-        let model = self.clone();
-        let mut trace = Trace {
-            tables: tables.to_vec(),
-            batches: Vec::new(),
-        };
-        Box::new(MemoizedSession::new(
-            self.level_name(),
-            Box::new(move |batch: &Batch, traced: bool| {
-                trace.batches.clear();
-                trace.batches.push(batch.clone());
-                cfg.trace_commands = traced;
-                let plans = model.plans_prepared(&layout, &hot, &trace);
-                execute(&cfg, &trace, &plans).into()
-            }),
-        ))
-    }
-
-    fn compute_results(&mut self, trace: &Trace) -> Vec<Vec<f32>> {
-        // PEs reduce whole vectors in trace order (replicas hold identical
-        // data), numerically identical to the golden order.
-        reduce_trace(trace)
+    fn prepare(&self, tables: &[EmbeddingTableSpec]) -> Box<dyn Planner> {
+        Box::new(TrimPlanner {
+            topo: self.dram.topology,
+            level: self.level,
+            replicas: u64::from(self.replicas),
+            layout: TableLayout::pack(self.dram.topology, tables, 0),
+            hot: self.hot_directory(),
+        })
     }
 }
 

@@ -294,11 +294,6 @@ impl Recorder {
         self.string(self.tracks[id.0 as usize].name)
     }
 
-    /// A track's parent (`None` for roots).
-    pub fn track_parent(&self, id: TrackId) -> Option<TrackId> {
-        self.tracks[id.0 as usize].parent
-    }
-
     fn push(&mut self, track: TrackId, name: StrId, ts: u64, kind: EventKind) {
         debug_assert!((track.0 as usize) < self.tracks.len(), "event on unknown track");
         let e = Event {

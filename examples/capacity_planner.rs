@@ -36,7 +36,7 @@ fn main() {
         let (r, g, b) = cfg.region_banks();
         let area = area_model.recross(cfg.bg_pes_per_rank, cfg.bank_pes_per_rank);
         let profiles = analytic_profiles(&generator);
-        let mut sys = ReCross::new(cfg, profiles, 16.0).expect("fits");
+        let sys = ReCross::new(cfg, profiles, 16.0).expect("fits");
         let report = sys.run(&trace);
         let mlps = report.lookups as f64 / report.ns * 1e3; // M lookups/s
         let eff = mlps / area.total_mm2();

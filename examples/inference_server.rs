@@ -43,8 +43,7 @@ fn main() {
 
     // Embedding layer on ReCross vs host-only.
     let profiles = analytic_profiles(&generator);
-    let mut accel =
-        ReCross::new(ReCrossConfig::default_d(dram.clone()), profiles, 8.0).expect("fits");
+    let accel = ReCross::new(ReCrossConfig::default_d(dram.clone()), profiles, 8.0).expect("fits");
     let accel_report = accel.run(&trace);
     let host_report = CpuBaseline::new(dram).run(&trace);
 

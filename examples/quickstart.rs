@@ -33,7 +33,7 @@ fn main() {
 
     // 3. ReCross: profile → bandwidth-aware partition → placement → run.
     let profiles = analytic_profiles(&generator);
-    let mut system = ReCross::new(ReCrossConfig::default_d(dram.clone()), profiles, 32.0)
+    let system = ReCross::new(ReCrossConfig::default_d(dram.clone()), profiles, 32.0)
         .expect("embedding tables fit the memory regions");
     let recross = system.run(&trace);
 

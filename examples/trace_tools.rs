@@ -72,7 +72,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let mut ctl = Controller::new(cfg.clone(), SchedulePolicy::FrFcfs);
     ctl.record_trace();
-    let plans = Trim::bank_group(cfg.clone()).plans(&back);
+    let plans = Trim::bank_group(cfg.clone())
+        .prepare(&back.tables)
+        .plans(&back);
     for (i, plan) in plans.iter().take(64).enumerate() {
         for r in &plan.reads {
             ctl.enqueue(recross_repro::dram::controller::ReadRequest {

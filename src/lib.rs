@@ -4,8 +4,9 @@
 //! [`workload`], [`lp`], [`nmp`], [`serve`], plus [`recross`] itself) for
 //! code that wants a specific layer; the [`prelude`] re-exports the
 //! user-facing surface — workload construction, the accelerator models
-//! and their two APIs (offline [`run`](nmp::EmbeddingAccelerator::run) /
-//! serving [`open_session`](nmp::EmbeddingAccelerator::open_session)),
+//! (each one pricing path, prepared once per table universe and used by
+//! both the whole-trace [`run`](nmp::EmbeddingAccelerator::run) and the
+//! per-batch [`open_session`](nmp::EmbeddingAccelerator::open_session)),
 //! and the open-loop serving simulator — so examples and integration
 //! tests need a single `use recross_repro::prelude::*;`.
 

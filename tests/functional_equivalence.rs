@@ -47,7 +47,7 @@ fn recross_matches_golden_under_every_config() {
     for cfg in ReCrossConfig::exploration_set(DramConfig::ddr5_4800()) {
         let name = cfg.name.clone();
         let profiles = analytic_profiles(&g);
-        let mut sys = ReCross::new(cfg, profiles, 4.0).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let sys = ReCross::new(cfg, profiles, 4.0).unwrap_or_else(|e| panic!("{name}: {e}"));
         let results = sys.compute_results(&trace);
         assert_results_close(&results, &golden, 1e-3);
     }
@@ -62,7 +62,7 @@ fn recross_matches_golden_with_empirical_profiles() {
     let serving = g.generate(200);
     let profile = AccessProfile::from_trace(&training);
     let profiles = empirical_profiles(g.tables(), &profile);
-    let mut sys = ReCross::new(ReCrossConfig::default(), profiles, 4.0).expect("fits");
+    let sys = ReCross::new(ReCrossConfig::default(), profiles, 4.0).expect("fits");
     let results = sys.compute_results(&serving);
     assert_results_close(&results, &reduce_trace(&serving), 1e-3);
     // And it still simulates.
@@ -82,7 +82,7 @@ fn ablation_toggles_preserve_results() {
         ReCrossConfig::default().without_las(),
     ] {
         let profiles = analytic_profiles(&g);
-        let mut sys = ReCross::new(cfg, profiles, 4.0).expect("fits");
+        let sys = ReCross::new(cfg, profiles, 4.0).expect("fits");
         assert_results_close(&sys.compute_results(&trace), &golden, 1e-3);
     }
 }

@@ -42,7 +42,7 @@ fn run_all_uncached() -> Vec<RunReport> {
             .run(&trace),
     );
     out.push(Trim::bank(dram.clone()).with_profile(profile).run(&trace));
-    let mut sys = ReCross::new(ReCrossConfig::default_d(dram), profiles, 16.0).expect("fits");
+    let sys = ReCross::new(ReCrossConfig::default_d(dram), profiles, 16.0).expect("fits");
     out.push(sys.run(&trace));
     out
 }
@@ -146,7 +146,7 @@ fn figure14_more_pes_diminishing_returns() {
     let mut cycles = Vec::new();
     for cfg in ReCrossConfig::exploration_set(d) {
         let profiles = analytic_profiles(&g);
-        let mut sys = ReCross::new(cfg, profiles, 16.0).expect("fits");
+        let sys = ReCross::new(cfg, profiles, 16.0).expect("fits");
         cycles.push(sys.run(&trace).cycles as f64);
     }
     // Paper §5.4: c5 (all banks bank-level) is not much better than d.
@@ -185,7 +185,7 @@ fn figure10_batch_size_does_not_degrade_speedup() {
         let trace = g.generate(3);
         let cpu = CpuBaseline::new(d.clone()).run(&trace);
         let profiles = analytic_profiles(&g);
-        let mut sys = ReCross::new(ReCrossConfig::default_d(d.clone()), profiles, batch as f64)
+        let sys = ReCross::new(ReCrossConfig::default_d(d.clone()), profiles, batch as f64)
             .expect("fits");
         let r = sys.run(&trace);
         speedups.push(cpu.ns / r.ns);
@@ -206,7 +206,7 @@ fn figure11_recross_scales_with_ranks() {
         let g = generator();
         let trace = g.generate(4);
         let profiles = analytic_profiles(&g);
-        let mut sys = ReCross::new(ReCrossConfig::default_d(d), profiles, 16.0).expect("fits");
+        let sys = ReCross::new(ReCrossConfig::default_d(d), profiles, 16.0).expect("fits");
         ns.push(sys.run(&trace).ns);
     }
     assert!(

@@ -31,8 +31,7 @@ fn all_reports(trace: &Trace, g: &TraceGenerator) -> Vec<recross_repro::nmp::Run
             .run(trace),
         Trim::bank(d.clone()).with_profile(profile).run(trace),
     ];
-    let mut rc =
-        ReCross::new(ReCrossConfig::default_d(d), analytic_profiles(g), 4.0).expect("fits");
+    let rc = ReCross::new(ReCrossConfig::default_d(d), analytic_profiles(g), 4.0).expect("fits");
     out.push(rc.run(trace));
     out
 }
@@ -125,7 +124,7 @@ fn multichannel_recross_matches_golden() {
         }
         let profile = AccessProfile::from_trace(&sub);
         let profiles = empirical_profiles(&sub.tables, &profile);
-        let mut sys = ReCross::new(
+        let sys = ReCross::new(
             ReCrossConfig::default_d(DramConfig::ddr5_4800()),
             profiles,
             4.0,
@@ -146,7 +145,7 @@ fn determinism_across_runs() {
     let b = CpuBaseline::new(d).run(&trace);
     assert_eq!(a.cycles, b.cycles);
     assert_eq!(a.counters, b.counters);
-    let mut s1 = ReCross::new(ReCrossConfig::default(), analytic_profiles(&g), 4.0).expect("fits");
-    let mut s2 = ReCross::new(ReCrossConfig::default(), analytic_profiles(&g), 4.0).expect("fits");
+    let s1 = ReCross::new(ReCrossConfig::default(), analytic_profiles(&g), 4.0).expect("fits");
+    let s2 = ReCross::new(ReCrossConfig::default(), analytic_profiles(&g), 4.0).expect("fits");
     assert_eq!(s1.run(&trace).cycles, s2.run(&trace).cycles);
 }
