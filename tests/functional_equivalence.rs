@@ -86,3 +86,55 @@ fn ablation_toggles_preserve_results() {
         assert_results_close(&sys.compute_results(&trace), &golden, 1e-3);
     }
 }
+
+/// 64-bit FNV-1a over the bit patterns of every result element, in order.
+fn results_digest(results: &[Vec<f32>]) -> u64 {
+    results
+        .iter()
+        .flatten()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// Pins the exact bits of the two datapaths that do not reduce in lookup
+/// order — ReCross's per-PE partial sums folded by the rank summarizer,
+/// and TensorDIMM's per-rank vertical slices — so a refactor that changes
+/// a summation order fails here even though it stays within the golden
+/// model's tolerance.
+#[test]
+fn reassociating_results_are_bit_stable() {
+    let g = generator();
+    let trace = g.generate(80);
+    let dram = DramConfig::ddr5_4800();
+    let accels: Vec<Box<dyn EmbeddingAccelerator>> = vec![
+        Box::new(ReCross::new(ReCrossConfig::default(), analytic_profiles(&g), 4.0).unwrap()),
+        Box::new(
+            ReCross::new(
+                ReCrossConfig::base(dram.clone()),
+                analytic_profiles(&g),
+                4.0,
+            )
+            .unwrap(),
+        ),
+        Box::new(TensorDimm::new(dram)),
+    ];
+    let got: Vec<(String, u64, usize)> = accels
+        .iter()
+        .map(|a| {
+            let results = a.compute_results(&trace);
+            let values = results.iter().map(Vec::len).sum();
+            (a.name().to_owned(), results_digest(&results), values)
+        })
+        .collect();
+    let want = [
+        ("ReCross-d", 14_209_965_448_321_756_838, 3328),
+        ("ReCross-Base", 2_297_349_011_754_058_321, 3328),
+        ("TensorDIMM", 6_197_625_816_615_962_240, 3328),
+    ];
+    for ((name, digest, values), (want_name, want_digest, want_values)) in got.iter().zip(want) {
+        assert_eq!(name, want_name);
+        assert_eq!((*digest, *values), (want_digest, want_values), "{name}");
+    }
+}
