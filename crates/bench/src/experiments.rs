@@ -426,7 +426,7 @@ pub fn partitioning_overheads(scale: Scale) -> (f64, u64, f64) {
         &map,
         &bw,
         g.batch_size_value() as f64,
-        cfg.pwl_segments,
+        recross::PWL_SEGMENTS,
     )
     .expect("feasible");
     let lp_millis = start.elapsed().as_secs_f64() * 1_000.0;

@@ -19,12 +19,11 @@ use recross_workload::{EmbeddingTableSpec, Trace};
 
 use crate::config::{ReCrossConfig, Region};
 use crate::partition::{
-    bandwidth_aware_partition, naive_partition, PartitionError, RegionBandwidth,
+    bandwidth_aware_partition, naive_partition, PartitionError, RegionBandwidth, PWL_SEGMENTS,
 };
 use crate::placement::Placement;
 use crate::profile::TableProfile;
 use crate::regions::RegionMap;
-use crate::replication::HotReplicas;
 
 /// The assembled ReCross system.
 ///
@@ -37,28 +36,6 @@ pub struct ReCross {
     cfg: ReCrossConfig,
     profiles: Arc<Vec<TableProfile>>,
     placement: Arc<Placement>,
-}
-
-/// The placement step: profiles → partition (BWP or naive per `cfg`) →
-/// placement.
-fn place(
-    cfg: &ReCrossConfig,
-    profiles: &[TableProfile],
-    batch: f64,
-) -> Result<Placement, PartitionError> {
-    let map = RegionMap::new(cfg);
-    let max_vec = profiles
-        .iter()
-        .map(|p| p.spec.vector_bytes() as u32)
-        .max()
-        .unwrap_or(256);
-    let bw = RegionBandwidth::from_map(&map, &cfg.dram, max_vec, cfg.sap);
-    let decision = if cfg.bwp {
-        bandwidth_aware_partition(profiles, &map, &bw, batch, cfg.pwl_segments)?
-    } else {
-        naive_partition(profiles, &map)
-    };
-    Ok(Placement::new(profiles, decision, map))
 }
 
 impl ReCross {
@@ -77,7 +54,19 @@ impl ReCross {
         batch: f64,
     ) -> Result<Self, PartitionError> {
         cfg.validate();
-        let placement = place(&cfg, &profiles, batch)?;
+        let map = RegionMap::new(&cfg);
+        let max_vec = profiles
+            .iter()
+            .map(|p| p.spec.vector_bytes() as u32)
+            .max()
+            .unwrap_or(256);
+        let bw = RegionBandwidth::from_map(&map, &cfg.dram, max_vec, cfg.sap);
+        let decision = if cfg.bwp {
+            bandwidth_aware_partition(&profiles, &map, &bw, batch, PWL_SEGMENTS)?
+        } else {
+            naive_partition(&profiles, &map)
+        };
+        let placement = Placement::new(&profiles, decision, map);
         Ok(Self {
             cfg,
             profiles: Arc::new(profiles),
@@ -93,23 +82,6 @@ impl ReCross {
     /// The placement (for inspection / experiments).
     pub fn placement(&self) -> &Placement {
         &self.placement
-    }
-
-    /// Re-partitions and re-places from fresh profiles — the §4.5 response
-    /// to access-frequency drift: re-profile, re-solve the LP, remap.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PartitionError`] if the new profiles cannot be placed; the
-    /// old placement is kept in that case.
-    pub fn repartition(
-        &mut self,
-        profiles: Vec<TableProfile>,
-        batch: f64,
-    ) -> Result<(), PartitionError> {
-        self.placement = Arc::new(place(&self.cfg, &profiles, batch)?);
-        self.profiles = Arc::new(profiles);
-        Ok(())
     }
 
     /// The table profiles.
@@ -191,23 +163,17 @@ impl ReCross {
 }
 
 impl Planner for ReCross {
-    /// Each lookup goes to the region owning its popularity rank (or to a
-    /// hot replica), reduced by that region's PE.
+    /// Each lookup goes to the region owning its popularity rank, reduced
+    /// by that region's PE.
     fn plans(&self, trace: &Trace) -> Vec<LookupPlan> {
         let burst_bytes = self.cfg.dram.topology.burst_bytes;
-        let mut replicas = self.cfg.hot_replication.map(|(per_table, copies)| {
-            HotReplicas::build(&self.profiles, &self.placement, per_table, copies)
-        });
         let mut plans = Vec::with_capacity(trace.lookups());
         for (op_idx, op) in trace.iter_ops().enumerate() {
             let bursts = self.placement.bursts(op.table, burst_bytes);
             for &row in &op.indices {
                 let rank = self.profiles[op.table].order.rank_of(row);
                 let region = self.placement.region_of_rank(op.table, rank);
-                let addr = replicas
-                    .as_mut()
-                    .and_then(|r| r.redirect(&self.placement, op.table, rank))
-                    .unwrap_or_else(|| self.placement.addr_of_rank(op.table, rank));
+                let addr = self.placement.addr_of_rank(op.table, rank);
                 let (dest, salp) = match region {
                     Region::R => (BusScope::Rank, false),
                     Region::G => (BusScope::BankGroup, false),
@@ -246,7 +212,6 @@ impl EmbeddingAccelerator for ReCross {
                 SchedulePolicy::FrFcfs
             },
             two_stage_inst: self.cfg.two_stage_inst,
-            reduction: self.cfg.reduction,
             ..EngineConfig::nmp(&self.cfg.name, self.cfg.dram.clone(), 0)
         }
     }
@@ -270,21 +235,22 @@ impl EmbeddingAccelerator for ReCross {
 
     fn compute_results(&self, trace: &Trace) -> Vec<Vec<f32>> {
         // Faithfully reproduce the datapath's reduction order: per-PE
-        // partial sums (in lookup order within each PE), folded by the rank
-        // summarizer in node order. FP addition is not associative, so this
-        // genuinely exercises the Psum path.
+        // partial sums (in lookup order within each PE, on the node `plans`
+        // assigned), folded by the rank summarizer in node order. FP
+        // addition is not associative, so this genuinely exercises the Psum
+        // path.
         let num_nodes = self.num_nodes();
+        let plans = self.plans(trace);
+        let mut rest = plans.as_slice();
         trace
             .iter_ops()
             .map(|op| {
                 let dim = trace.tables[op.table].dim as usize;
+                let (own, tail) = rest.split_at(op.indices.len());
+                rest = tail;
                 let mut psums: Vec<Option<Vec<f32>>> = vec![None; num_nodes];
-                for (&row, &w) in op.indices.iter().zip(&op.weights) {
-                    let rank = self.profiles[op.table].order.rank_of(row);
-                    let region = self.placement.region_of_rank(op.table, rank);
-                    let addr = self.placement.addr_of_rank(op.table, rank);
-                    let node = self.node_of(region, &addr);
-                    let slot = psums[node].get_or_insert_with(|| vec![0.0; dim]);
+                for ((&row, &w), plan) in op.indices.iter().zip(&op.weights).zip(own) {
+                    let slot = psums[plan.reads[0].node].get_or_insert_with(|| vec![0.0; dim]);
                     for (d, acc) in slot.iter_mut().enumerate() {
                         *acc += w * embedding_value(op.table, row, d as u32);
                     }
@@ -397,37 +363,6 @@ mod tests {
             with.cycles,
             without.cycles
         );
-    }
-
-    #[test]
-    fn hot_replication_runs_and_matches_golden() {
-        let g = TraceGenerator::criteo_scaled(64, 100)
-            .batch_size(8)
-            .pooling(40);
-        let trace = g.generate(17);
-        let profiles = analytic_profiles(&g);
-        let plain = ReCross::new(ReCrossConfig::default(), profiles.clone(), 8.0).unwrap();
-        let replicated = ReCross::new(
-            ReCrossConfig::default().with_hot_replication(8, 8),
-            profiles,
-            8.0,
-        )
-        .unwrap();
-        let rp = plain.run(&trace);
-        let rr = replicated.run(&trace);
-        assert_eq!(rp.lookups, rr.lookups);
-        // Replication spreads the residual hot spot: weighted imbalance
-        // must not worsen.
-        assert!(
-            rr.imbalance.mean <= rp.imbalance.mean * 1.05,
-            "replicated {} vs plain {}",
-            rr.imbalance.mean,
-            rp.imbalance.mean
-        );
-        // Replicas hold identical data: functional results unchanged.
-        let got = replicated.compute_results(&trace);
-        let want = recross_workload::model::reduce_trace(&trace);
-        recross_workload::model::assert_results_close(&got, &want, 1e-3);
     }
 
     #[test]

@@ -49,16 +49,14 @@ pub mod partition;
 pub mod placement;
 pub mod profile;
 pub mod regions;
-pub mod replication;
 
 pub use config::{ReCrossConfig, Region};
 pub use engine::ReCross;
 pub use isa::{NmpInstruction, NmpLevel, INSTRUCTION_BITS};
 pub use partition::{
-    bandwidth_aware_partition, naive_partition, ordered_partition, PartitionDecision,
-    RegionBandwidth, TableSplit,
+    bandwidth_aware_partition, naive_partition, PartitionDecision, RegionBandwidth, TableSplit,
+    PWL_SEGMENTS,
 };
 pub use placement::Placement;
 pub use profile::{analytic_profiles, empirical_profiles, HotOrder, TableProfile};
 pub use regions::RegionMap;
-pub use replication::HotReplicas;

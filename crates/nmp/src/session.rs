@@ -35,7 +35,7 @@ use std::collections::HashMap;
 use recross_dram::{Cycle, IssuedCommand};
 use recross_workload::{Batch, EmbeddingTableSpec, Trace};
 
-use crate::accel::{Planner, RunReport};
+use crate::accel::Planner;
 use crate::cache::LruCache;
 use crate::engine::{execute, EngineConfig};
 
@@ -92,10 +92,11 @@ pub trait ServiceSession {
 
     /// Prices the batch exactly like [`service`](Self::service) — same
     /// returned cycles, same memo-cache accounting — and additionally
-    /// returns the batch's full DRAM command trace from an uncached
-    /// traced re-run. The traced run never touches the memo, so a traced
-    /// serving simulation reports byte-identical `ServeReport`s to an
-    /// untraced one on the same seed.
+    /// returns the batch's full DRAM command trace. A memo miss simulates
+    /// the batch once, traced; a hit re-simulates it for the commands
+    /// without touching the memo. Tracing never changes cycles, so a
+    /// traced serving simulation reports byte-identical `ServeReport`s to
+    /// an untraced one on the same seed.
     fn service_traced(&mut self, batch: &Batch) -> (Cycle, Vec<IssuedCommand>);
 
     /// Cumulative memo-cache hit/miss/eviction counters for this session.
@@ -206,12 +207,47 @@ impl MemoizedSession {
 
     /// Prices `batch` by full simulation — [`EmbeddingAccelerator::run`] on
     /// the one-batch trace — recording its command trace when `traced`.
-    fn uncached(&mut self, batch: &Batch, traced: bool) -> RunReport {
+    fn uncached(&mut self, batch: &Batch, traced: bool) -> (Cycle, Vec<IssuedCommand>) {
         self.scratch.batches.clear();
         self.scratch.batches.push(batch.clone());
         self.cfg.trace_commands = traced;
         let plans = self.planner.plans(&self.scratch);
-        execute(&self.cfg, &self.scratch, &plans)
+        let report = execute(&self.cfg, &self.scratch, &plans);
+        (report.cycles, report.commands.unwrap_or_default())
+    }
+
+    /// Prices `batch` through the memo, with its command trace when
+    /// `traced` (empty otherwise). A miss simulates the batch once —
+    /// traced when asked — and memoizes the cycles; a hit re-simulates
+    /// only to recover the commands of a traced call.
+    fn price(&mut self, batch: &Batch, traced: bool) -> (Cycle, Vec<IssuedCommand>) {
+        if !self.enabled {
+            self.stats.misses += 1;
+            return self.uncached(batch, traced);
+        }
+        let sig = batch_signature(batch);
+        if let Some(&cycles) = self.cache.get(&sig) {
+            self.stats.hits += 1;
+            self.lru.touch(sig);
+            if !traced {
+                return (cycles, Vec::new());
+            }
+            let (rerun, commands) = self.uncached(batch, true);
+            debug_assert_eq!(
+                rerun, cycles,
+                "traced re-run must price identically to the memoized path"
+            );
+            return (cycles, commands);
+        }
+        let (cycles, commands) = self.uncached(batch, traced);
+        let (_, evicted) = self.lru.touch_evict(sig.clone());
+        if let Some(victim) = evicted {
+            self.cache.remove(&victim);
+            self.stats.evictions += 1;
+        }
+        self.cache.insert(sig, cycles);
+        self.stats.misses += 1;
+        (cycles, commands)
     }
 }
 
@@ -228,39 +264,11 @@ impl ServiceSession for MemoizedSession {
     }
 
     fn service(&mut self, batch: &Batch) -> Cycle {
-        if !self.enabled {
-            self.stats.misses += 1;
-            return self.uncached(batch, false).cycles;
-        }
-        let sig = batch_signature(batch);
-        if let Some(&cycles) = self.cache.get(&sig) {
-            self.stats.hits += 1;
-            self.lru.touch(sig);
-            return cycles;
-        }
-        let cycles = self.uncached(batch, false).cycles;
-        let (_, evicted) = self.lru.touch_evict(sig.clone());
-        if let Some(victim) = evicted {
-            self.cache.remove(&victim);
-            self.stats.evictions += 1;
-        }
-        self.cache.insert(sig, cycles);
-        self.stats.misses += 1;
-        cycles
+        self.price(batch, false).0
     }
 
     fn service_traced(&mut self, batch: &Batch) -> (Cycle, Vec<IssuedCommand>) {
-        // Normal pricing first, so hit/miss/eviction accounting is
-        // bit-identical to an untraced run...
-        let cycles = self.service(batch);
-        // ...then a traced re-run outside the memo for the commands. The
-        // uncached path is deterministic, so the re-run prices identically.
-        let traced = self.uncached(batch, true);
-        debug_assert_eq!(
-            traced.cycles, cycles,
-            "traced re-run must price identically to the memoized path"
-        );
-        (cycles, traced.commands.unwrap_or_default())
+        self.price(batch, true)
     }
 
     fn stats(&self) -> SessionStats {
@@ -405,7 +413,7 @@ mod tests {
 
     /// `service_traced` returns the same cycles as `service`, keeps the
     /// cache accounting identical to an untraced session, and yields the
-    /// batch's cycle-sorted command trace.
+    /// batch's cycle-sorted command trace — with the memo on and off.
     #[test]
     fn traced_service_prices_identically_and_returns_commands() {
         let t = trace();
@@ -425,6 +433,18 @@ mod tests {
         assert_eq!(again, plain.service(&t.batches[0]));
         assert!(!commands.is_empty());
         assert_eq!(traced.stats().hits, plain.stats().hits);
+
+        // Memo off: every call simulates, traced or not.
+        plain.set_cache_enabled(false);
+        traced.set_cache_enabled(false);
+        for b in &t.batches {
+            let want = plain.service(b);
+            let (got, commands) = traced.service_traced(b);
+            assert_eq!(got, want, "memo off: traced pricing must match untraced");
+            assert!(!commands.is_empty(), "memo off: commands still returned");
+            assert!(commands.windows(2).all(|w| w[0].cycle <= w[1].cycle));
+        }
+        assert_eq!(plain.stats(), traced.stats(), "memo off: same stats");
     }
 
     #[test]
